@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 namespace nitro::control {
 
@@ -12,13 +13,56 @@ constexpr std::uint32_t kUnivMagic = 0x4e554d31;    // "NUM1"
 constexpr std::uint32_t kMatrixDeltaMagic = 0x4e4d4458;  // "NMDX"
 constexpr std::uint32_t kUnivDeltaMagic = 0x4e554d44;    // "NUMD"
 
-/// Live counters segment `seg` covers in a matrix of width `width`
-/// (the last segment may be short; padding is never serialized).
-std::uint32_t segment_live(std::uint32_t seg, std::uint32_t width) {
-  const std::uint32_t first = seg * sketch::CounterMatrix::kSegmentCounters;
-  const std::uint32_t last =
-      std::min(first + sketch::CounterMatrix::kSegmentCounters, width);
-  return last > first ? last - first : 0;
+/// Live counters covered by the dirty-segment run [start, start + len) of
+/// a row of width `width`: the run's segments are adjacent, so they are
+/// one contiguous slice of the row (only a row's last segment is short).
+std::pair<std::size_t, std::size_t> run_counters(std::uint32_t start,
+                                                 std::uint32_t len,
+                                                 std::uint32_t width) {
+  const std::size_t first =
+      std::size_t{start} * sketch::CounterMatrix::kSegmentCounters;
+  const std::size_t last = std::min<std::size_t>(
+      std::size_t{start + len} * sketch::CounterMatrix::kSegmentCounters, width);
+  return {first, last > first ? last - first : 0};
+}
+
+/// Adjacent dirty segments of row `r`, coalesced into (start, len) runs.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> dirty_runs(
+    const sketch::CounterMatrix& m, std::uint32_t r) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
+  for (std::uint32_t s = 0; s < m.segments_per_row(); ++s) {
+    if (!m.segment_dirty(r, s)) continue;
+    if (!runs.empty() && runs.back().first + runs.back().second == s) {
+      ++runs.back().second;
+    } else {
+      runs.emplace_back(s, 1);
+    }
+  }
+  return runs;
+}
+
+// Exact encoded sizes, so the snapshot encoders allocate once.
+constexpr std::size_t kMatrixHeaderBytes = 4 + 4 + 4 + 1;
+
+std::size_t matrix_bytes(const sketch::CounterMatrix& m) {
+  return kMatrixHeaderBytes +
+         std::size_t{m.depth()} * m.width() * sizeof(std::int64_t);
+}
+
+std::size_t matrix_delta_bytes(const sketch::CounterMatrix& m) {
+  std::size_t n = kMatrixHeaderBytes;
+  if (!m.dirty_tracking()) return n;  // write_matrix_delta rejects it
+  for (std::uint32_t r = 0; r < m.depth(); ++r) {
+    n += 4;
+    for (const auto& [start, len] : dirty_runs(m, r)) {
+      n += 4 + 4 + run_counters(start, len, m.width()).second * sizeof(std::int64_t);
+    }
+  }
+  return n;
+}
+
+std::size_t heap_bytes(const sketch::TopKHeap& heap) {
+  return 4 + 4 + heap.size() * (sizeof(FlowKey) + sizeof(std::int64_t));
 }
 }  // namespace
 
@@ -74,9 +118,7 @@ void write_matrix(ByteWriter& w, const sketch::CounterMatrix& m) {
   w.put_u32(m.depth());
   w.put_u32(m.width());
   w.put_u8(m.signed_updates() ? 1 : 0);
-  for (std::uint32_t r = 0; r < m.depth(); ++r) {
-    for (std::int64_t c : m.row(r)) w.put_i64(c);
-  }
+  for (std::uint32_t r = 0; r < m.depth(); ++r) w.put_i64s(m.row(r));
 }
 
 void read_matrix_into(ByteReader& r, sketch::CounterMatrix& m) {
@@ -89,10 +131,7 @@ void read_matrix_into(ByteReader& r, sketch::CounterMatrix& m) {
   if (depth != m.depth() || width != m.width() || is_signed != m.signed_updates()) {
     throw std::invalid_argument("snapshot: matrix shape mismatch with replica");
   }
-  for (std::uint32_t row = 0; row < depth; ++row) {
-    auto dst = m.row_mut(row);
-    for (std::uint32_t col = 0; col < width; ++col) dst[col] = r.get_i64();
-  }
+  for (std::uint32_t row = 0; row < depth; ++row) r.get_i64s(m.row_mut(row));
 }
 
 void write_matrix_delta(ByteWriter& w, const sketch::CounterMatrix& m) {
@@ -104,18 +143,8 @@ void write_matrix_delta(ByteWriter& w, const sketch::CounterMatrix& m) {
   w.put_u32(m.depth());
   w.put_u32(m.width());
   w.put_u8(m.signed_updates() ? 1 : 0);
-  const std::uint32_t segs = m.segments_per_row();
   for (std::uint32_t r = 0; r < m.depth(); ++r) {
-    // Coalesce adjacent dirty segments into (start, len) runs.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
-    for (std::uint32_t s = 0; s < segs; ++s) {
-      if (!m.segment_dirty(r, s)) continue;
-      if (!runs.empty() && runs.back().first + runs.back().second == s) {
-        ++runs.back().second;
-      } else {
-        runs.emplace_back(s, 1);
-      }
-    }
+    const auto runs = dirty_runs(m, r);
     w.put_u32(static_cast<std::uint32_t>(runs.size()));
     for (const auto& [start, len] : runs) {
       w.put_u32(start);
@@ -123,11 +152,8 @@ void write_matrix_delta(ByteWriter& w, const sketch::CounterMatrix& m) {
     }
     const auto row = m.row(r);
     for (const auto& [start, len] : runs) {
-      for (std::uint32_t s = start; s < start + len; ++s) {
-        const std::uint32_t first = s * sketch::CounterMatrix::kSegmentCounters;
-        const std::uint32_t live = segment_live(s, m.width());
-        for (std::uint32_t c = 0; c < live; ++c) w.put_i64(row[first + c]);
-      }
+      const auto [first, count] = run_counters(start, len, m.width());
+      w.put_i64s(row.subspan(first, count));
     }
   }
 }
@@ -168,11 +194,8 @@ void apply_matrix_delta(ByteReader& r, sketch::CounterMatrix& m) {
     }
     auto dst = m.row_mut(row);
     for (const auto& [start, len] : runs) {
-      for (std::uint32_t s = start; s < start + len; ++s) {
-        const std::uint32_t first = s * sketch::CounterMatrix::kSegmentCounters;
-        const std::uint32_t live = segment_live(s, width);
-        for (std::uint32_t c = 0; c < live; ++c) dst[first + c] = r.get_i64();
-      }
+      const auto [first, count] = run_counters(start, len, width);
+      r.get_i64s(dst.subspan(first, count));
     }
   }
 }
@@ -201,7 +224,12 @@ void read_heap_into(ByteReader& r, sketch::TopKHeap& heap) {
 }
 
 std::vector<std::uint8_t> snapshot_univmon(const sketch::UnivMon& um) {
+  std::size_t n = 4 + 4 + 8;
+  for (std::uint32_t j = 0; j < um.num_levels(); ++j) {
+    n += matrix_bytes(um.level_sketch(j).matrix()) + heap_bytes(um.level_heap(j));
+  }
   ByteWriter w;
+  w.reserve(n);
   w.put_u32(kUnivMagic);
   w.put_u32(um.num_levels());
   w.put_i64(um.total());
@@ -232,7 +260,13 @@ void load_univmon(std::span<const std::uint8_t> bytes, sketch::UnivMon& replica)
 }
 
 std::vector<std::uint8_t> snapshot_univmon_delta(const sketch::UnivMon& um) {
+  std::size_t n = 4 + 4 + 8;
+  for (std::uint32_t j = 0; j < um.num_levels(); ++j) {
+    n += matrix_delta_bytes(um.level_sketch(j).matrix()) +
+         heap_bytes(um.level_heap(j));
+  }
   ByteWriter w;
+  w.reserve(n);
   w.put_u32(kUnivDeltaMagic);
   w.put_u32(um.num_levels());
   w.put_i64(um.total());

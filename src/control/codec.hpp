@@ -40,11 +40,18 @@ class ByteWriter {
 
   void put_key(const FlowKey& k) { put_raw(&k, sizeof k); }
 
+  /// Bulk put_i64: the same bytes as one put_i64 per element, appended in
+  /// one copy (counter rows are the bulk of every snapshot).
+  void put_i64s(std::span<const std::int64_t> v) { put_raw(v.data(), v.size_bytes()); }
+
   /// Length-prefixed byte string (nested snapshots inside checkpoints).
   void put_blob(std::span<const std::uint8_t> bytes) {
     put_u64(bytes.size());
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
+
+  /// Pre-size for an encoder that knows its exact output length.
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
   std::vector<std::uint8_t> take() && { return std::move(buf_); }
@@ -69,6 +76,18 @@ class ByteReader {
   std::int64_t get_i64() { return get_raw<std::int64_t>(); }
   double get_f64() { return get_raw<double>(); }
   FlowKey get_key() { return get_raw<FlowKey>(); }
+
+  /// Bulk get_i64 into `out`, reading what put_i64s wrote.  All or
+  /// nothing: a buffer too short for the whole span throws
+  /// std::out_of_range before any element of `out` is written.
+  void get_i64s(std::span<std::int64_t> out) {
+    const std::size_t n = out.size_bytes();
+    if (n > remaining()) {
+      throw std::out_of_range("ByteReader: truncated snapshot");
+    }
+    if (n != 0) std::memcpy(out.data(), data_.data() + pos_, n);
+    pos_ += n;
+  }
 
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
   bool exhausted() const noexcept { return remaining() == 0; }

@@ -18,6 +18,8 @@
 #include <memory>
 #include <string>
 
+#include <unistd.h>
+
 #include "control/checkpoint.hpp"
 #include "control/daemon.hpp"
 #include "core/nitro_univmon.hpp"
@@ -59,9 +61,11 @@ trace::Trace monitor_stream(int monitor) {
   return trace::caida_like(spec);
 }
 
+/// Per-process directory: this suite is linked into two test binaries
+/// (tests_recovery and tests_tsan) that ctest -j runs side by side.
 std::string fresh_dir(int monitor) {
-  const std::string dir = std::string(::testing::TempDir()) +
-                          "nitro_recovery_e2e_m" + std::to_string(monitor);
+  const std::string dir = std::string(::testing::TempDir()) + "nitro_recovery_e2e_" +
+                          std::to_string(::getpid()) + "_m" + std::to_string(monitor);
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -337,6 +341,7 @@ TEST(RecoveryE2e, ThreeCrashedMonitorsRebuildAndTheMergedViewStaysExact) {
   }
 
   server.stop();
+  for (const auto& dir : {dir1, dir2, dir3}) std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // connection kills — and the exporter's set_next_seq rejoin hook.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "control/codec.hpp"
@@ -257,7 +259,14 @@ TEST(RecoverClient, FetchesTheReplicaFromALiveCollector) {
   EXPECT_FALSE(none.resp.found);
 
   EXPECT_GE(lc.registry.counter("nitro_collector_recover_requests_total").value(), 2u);
-  EXPECT_GE(lc.registry.counter("nitro_collector_recover_served_total").value(), 2u);
+  // The server counts a response once its send returns, which can be just
+  // after the client has already decoded it: wait for the count to land.
+  auto& served = lc.registry.counter("nitro_collector_recover_served_total");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (served.value() < 2u && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(served.value(), 2u);
 }
 
 TEST(RecoverClient, RetriesThroughDroppedRequestsAndKilledConnections) {
