@@ -6,8 +6,9 @@
 // Measures, for the measurement daemon (UnivMon state) and a 4-shard
 // Count-Min data plane:
 //   * serialize: building the checkpoint payload (drain + flush + encode)
-//   * save:      CRC frame + tmp write + fsync + rename dance
-//   * load:      read + frame validation (CRC over the whole payload)
+//   * save:      full chain frame: CRC frame + tmp write + fsync + rename
+//   * load:      chain restore: read + frame validation (CRC over the
+//                whole payload)
 //   * restore:   decoding into an identically configured replica
 #include "bench_common.hpp"
 
@@ -57,17 +58,19 @@ void run() {
     const double ser_s = t.seconds();
 
     t.reset();
-    for (int i = 0; i < kReps; ++i) store.save("bench_daemon", payload);
+    for (int i = 0; i < kReps; ++i) {
+      store.save_frame("bench_daemon", /*full=*/true, payload);
+    }
     const double save_s = t.seconds();
 
     t.reset();
-    control::CheckpointStore::Restored got;
-    for (int i = 0; i < kReps; ++i) got = store.load("bench_daemon");
+    control::CheckpointStore::ChainRestored got;
+    for (int i = 0; i < kReps; ++i) got = store.load_chain("bench_daemon");
     const double load_s = t.seconds();
 
     control::MeasurementDaemon replica(um_cfg, nitro_cfg, {});
     t.reset();
-    for (int i = 0; i < kReps; ++i) replica.restore_checkpoint(got.payload);
+    for (int i = 0; i < kReps; ++i) replica.restore_checkpoint(got.base);
     const double restore_s = t.seconds();
 
     std::printf("  daemon/univmon  payload %8.2f KiB  serialize %7.3f ms  "
@@ -99,17 +102,19 @@ void run() {
     const double ser_s = t.seconds();
 
     t.reset();
-    for (int i = 0; i < kReps; ++i) store.save("bench_sharded", payload);
+    for (int i = 0; i < kReps; ++i) {
+      store.save_frame("bench_sharded", /*full=*/true, payload);
+    }
     const double save_s = t.seconds();
 
     t.reset();
-    control::CheckpointStore::Restored got;
-    for (int i = 0; i < kReps; ++i) got = store.load("bench_sharded");
+    control::CheckpointStore::ChainRestored got;
+    for (int i = 0; i < kReps; ++i) got = store.load_chain("bench_sharded");
     const double load_s = t.seconds();
 
     shard::ShardedNitroCountMin replica(4, make, cfg);
     t.reset();
-    for (int i = 0; i < kReps; ++i) control::restore_sharded(got.payload, replica);
+    for (int i = 0; i < kReps; ++i) control::restore_sharded(got.base, replica);
     const double restore_s = t.seconds();
 
     std::printf("  sharded/cm x4   payload %8.2f KiB  serialize %7.3f ms  "
@@ -201,8 +206,8 @@ void run() {
         .set(scales ? 1.0 : 0.0);
   }
 
-  note("save includes fsync(tmp) + rename rotation + dir fsync (durability "
-       "recipe of DESIGN.md §10); load includes CRC validation of the frame; "
+  note("save includes fsync(tmp) + rename + dir fsync (durability recipe "
+       "of DESIGN.md §10); load includes CRC validation of the frame; "
        "delta frames encode only dirty counter segments (DESIGN.md §15)");
   write_telemetry_sidecar(registry, "micro_recovery");
   std::error_code ec;

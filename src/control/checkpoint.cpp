@@ -32,90 +32,8 @@ CheckpointStore::CheckpointStore(std::string dir) : dir_(std::move(dir)) {
   }
 }
 
-std::string CheckpointStore::current_path(const std::string& name) const {
-  return dir_ + "/" + name + ".ckpt";
-}
-
-std::string CheckpointStore::previous_path(const std::string& name) const {
-  return dir_ + "/" + name + ".prev";
-}
-
 std::string CheckpointStore::tmp_path(const std::string& name) const {
   return dir_ + "/" + name + ".tmp";
-}
-
-bool CheckpointStore::save(const std::string& name,
-                           std::span<const std::uint8_t> payload) {
-  telemetry::ScopedSpan trace(telemetry::Stage::kCheckpoint);
-  std::vector<std::uint8_t> frame = seal_frame(payload);
-
-  // Torn-write injection: persist only a prefix of the frame.  The rename
-  // sequence still completes, modelling a crash where metadata (the
-  // rename) reached the journal but the data blocks did not — exactly the
-  // corruption the CRC exists to catch at restore time.
-  std::uint64_t keep = frame.size();
-  if (fault::point(fault::Site::kCheckpointWrite, 0, &keep) ==
-      fault::Action::kTornWrite) {
-    if (keep > frame.size()) keep = frame.size() / 2;
-    frame.resize(static_cast<std::size_t>(keep));
-  }
-
-  const std::string tmp = tmp_path(name);
-  const std::string cur = current_path(name);
-  const std::string prev = previous_path(name);
-  if (!io::write_file_fsync(tmp, frame)) {
-    if (save_failures_) save_failures_->inc();
-    return false;
-  }
-  // Keep the last good checkpoint as the fallback generation.  ENOENT
-  // (first save) is fine; any other rename failure aborts with the old
-  // current still in place.
-  if (::rename(cur.c_str(), prev.c_str()) != 0 && errno != ENOENT) {
-    if (save_failures_) save_failures_->inc();
-    return false;
-  }
-  if (::rename(tmp.c_str(), cur.c_str()) != 0) {
-    if (save_failures_) save_failures_->inc();
-    return false;
-  }
-  io::fsync_dir(dir_);
-  if (saves_) saves_->inc();
-  if (last_bytes_) last_bytes_->set(static_cast<double>(frame.size()));
-  return true;
-}
-
-CheckpointStore::Restored CheckpointStore::load(const std::string& name) const {
-  Restored result;
-  std::vector<std::uint8_t> bytes;
-
-  auto try_one = [&](const std::string& path, Source source) -> bool {
-    if (!io::read_file(path, bytes)) return false;
-    // Read-side bit-rot injection happens after the disk read so the CRC
-    // check is what stands between the corruption and the sketch.
-    if (fault::point(fault::Site::kCheckpointRead) == fault::Action::kCorrupt) {
-      const fault::Schedule* s = fault::installed();
-      fault::corrupt_bytes(bytes, s != nullptr ? s->seed() : 0);
-    }
-    try {
-      const auto payload = open_frame(bytes);
-      result.payload.assign(payload.begin(), payload.end());
-      result.source = source;
-      return true;
-    } catch (const std::invalid_argument& e) {
-      if (result.error.empty()) result.error = path + ": " + e.what();
-      if (source == Source::kCurrent) {
-        result.current_rejected = true;
-        if (corrupt_rejected_) corrupt_rejected_->inc();
-      }
-      return false;
-    }
-  };
-
-  if (!try_one(current_path(name), Source::kCurrent)) {
-    try_one(previous_path(name), Source::kPrevious);
-  }
-  if (result.source != Source::kNone && restores_) restores_->inc();
-  return result;
 }
 
 // --- Delta-checkpoint chains (DESIGN.md §15) --------------------------------
@@ -265,8 +183,9 @@ CheckpointStore::ChainSave CheckpointStore::save_frame(
   w.put_blob(payload);
   std::vector<std::uint8_t> frame = seal_frame(w.bytes());
 
-  // Same torn-write model as save(): the rename dance completes but only
-  // a prefix of the data blocks reached disk.
+  // Torn-write injection: the rename completes but only a prefix of the
+  // data blocks reached disk — exactly the corruption the CRC exists to
+  // catch at restore time.
   std::uint64_t keep = frame.size();
   if (fault::point(fault::Site::kCheckpointWrite, 0, &keep) ==
       fault::Action::kTornWrite) {
@@ -373,15 +292,10 @@ CheckpointStore::ChainRestored CheckpointStore::load_chain(
 
 void CheckpointStore::attach_telemetry(telemetry::Registry& registry,
                                        const std::string& prefix) {
-  saves_ = &registry.counter(prefix + "_saves_total",
-                             "checkpoints written (atomic tmp+fsync+rename)");
   save_failures_ = &registry.counter(prefix + "_save_failures_total",
                                      "checkpoint writes that failed");
   restores_ = &registry.counter(prefix + "_restores_total",
                                 "checkpoints successfully restored");
-  corrupt_rejected_ =
-      &registry.counter(prefix + "_corrupt_rejected_total",
-                        "checkpoints rejected by frame/CRC validation");
   chain_frames_ = &registry.counter(prefix + "_chain_frames_total",
                                     "delta-chain frames written (full + delta)");
   chain_rejected_ =

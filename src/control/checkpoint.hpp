@@ -1,19 +1,21 @@
-// Crash-safe checkpoint/restore for sketch state (DESIGN.md §10).
+// Crash-safe checkpoint/restore for sketch state (DESIGN.md §10, §15).
 //
 // A daemon crash must not lose the measurement epoch: at every epoch
-// boundary the control plane persists its sketch state through this store
-// and restores it on restart.  Durability recipe per save:
+// boundary the control plane appends a frame to its checkpoint chain and
+// restores from the chain on restart.  Durability recipe per frame:
 //
-//   1. the payload is sealed in a versioned CRC-32 frame (codec.hpp);
+//   1. the payload is wrapped in a chain header and sealed in a versioned
+//      CRC-32 frame (codec.hpp);
 //   2. the frame is written to `<name>.tmp` and fsync'd;
-//   3. the previous `<name>.ckpt` (if any) is renamed to `<name>.prev`;
-//   4. `<name>.tmp` is atomically renamed to `<name>.ckpt`.
+//   3. `<name>.tmp` is atomically renamed to `<name>.NNNNNN.full|.delta`
+//      and the directory is fsync'd.
 //
-// load() validates `<name>.ckpt` and, when it is missing, truncated or
-// fails the CRC (a torn write), falls back to `<name>.prev` — corruption
-// is always *detected and reported*, never silently loaded.  The fault
-// framework can inject torn writes (persist only a prefix of the frame)
-// and read-side bit rot to exercise exactly these paths.
+// load_chain() validates every frame it replays; a torn or corrupt frame
+// is *detected and reported*, never silently loaded — a corrupt delta
+// truncates the chain there, a corrupt full frame falls back to the next
+// older base.  The fault framework can inject torn writes (persist only a
+// prefix of the frame) and read-side bit rot to exercise exactly these
+// paths.
 #pragma once
 
 #include <cstdint>
@@ -33,43 +35,17 @@ class CheckpointStore {
   /// when the directory cannot be created or is not writable.
   explicit CheckpointStore(std::string dir);
 
-  /// Atomically persist `payload` under `name`.  Returns false when a
-  /// filesystem operation fails (the previous checkpoint stays intact).
-  /// An injected torn write persists only a prefix of the frame but still
-  /// completes the rename dance — simulating a crash where the rename was
-  /// journaled before the data blocks hit disk — and reports success, as
-  /// the real crash would have.
-  bool save(const std::string& name, std::span<const std::uint8_t> payload);
-
-  enum class Source { kNone, kCurrent, kPrevious };
-
-  struct Restored {
-    std::vector<std::uint8_t> payload;  // frame-validated, header stripped
-    Source source = Source::kNone;
-    bool current_rejected = false;  // <name>.ckpt existed but failed validation
-    std::string error;              // why the best candidate was rejected
-  };
-
-  /// Load the newest valid checkpoint for `name`.  Never throws for
-  /// missing/corrupt files: the outcome (including the rejection reason)
-  /// is reported in Restored so callers can log it loudly.
-  Restored load(const std::string& name) const;
-
-  std::string current_path(const std::string& name) const;
-  std::string previous_path(const std::string& name) const;
   std::string tmp_path(const std::string& name) const;
 
-  const std::string& dir() const noexcept { return dir_; }
-
-  /// saves/failures/corrupt-rejections counters + last checkpoint size.
+  /// Chain frame/failure/rejection/GC/restore counters + last frame size.
   void attach_telemetry(telemetry::Registry& registry, const std::string& prefix);
 
   // --- Delta-checkpoint chains (DESIGN.md §15) ----------------------------
   //
   // A chain is a sequence of numbered frames `<name>.NNNNNN.full` /
   // `<name>.NNNNNN.delta`: a periodic full base plus the deltas cut
-  // against it.  Every frame is written with the same atomic durability
-  // recipe as save(), and carries an inner chain header (kind, its own
+  // against it.  Every frame is written with the atomic durability recipe
+  // above, and carries an inner chain header (kind, its own
   // sequence number, and the base generation — the sequence number of the
   // full frame the chain is rooted at) inside the CRC frame, so a frame
   // renamed or substituted on disk is detected at restore time.
@@ -82,9 +58,10 @@ class CheckpointStore {
 
   /// Append one frame to `name`'s chain.  `full` starts a new base
   /// generation; a delta is refused (ok = false) when no full base exists
-  /// yet.  A fault-injected torn write truncates the frame but reports
-  /// success, exactly like save().  Successful saves trigger retention GC
-  /// (see set_retention).
+  /// yet.  A fault-injected torn write persists only a prefix of the frame
+  /// but still completes the rename and reports success — a crash where
+  /// the rename was journaled before the data blocks hit disk.  Successful
+  /// saves trigger retention GC (see set_retention).
   ChainSave save_frame(const std::string& name, bool full,
                        std::span<const std::uint8_t> payload);
 
@@ -111,7 +88,6 @@ class CheckpointStore {
   void set_retention(std::uint64_t keep_frames) noexcept {
     retention_ = keep_frames < 2 ? 2 : keep_frames;
   }
-  std::uint64_t retention() const noexcept { return retention_; }
 
   std::string chain_path(const std::string& name, std::uint64_t seq,
                          bool full) const;
@@ -129,10 +105,8 @@ class CheckpointStore {
   std::string dir_;
   std::uint64_t retention_ = 16;
   std::map<std::string, ChainState> chains_;
-  telemetry::Counter* saves_ = nullptr;
   telemetry::Counter* save_failures_ = nullptr;
   telemetry::Counter* restores_ = nullptr;
-  telemetry::Counter* corrupt_rejected_ = nullptr;
   telemetry::Counter* chain_frames_ = nullptr;
   telemetry::Counter* chain_rejected_ = nullptr;
   telemetry::Counter* chain_gc_deleted_ = nullptr;

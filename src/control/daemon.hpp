@@ -292,16 +292,13 @@ class MeasurementDaemon {
   void set_accuracy_observer(telemetry::AccuracyObserver* observer) noexcept {
     accuracy_ = observer;
   }
-  telemetry::AccuracyObserver* accuracy_observer() const noexcept {
-    return accuracy_;
-  }
 
   // --- Crash-safe checkpointing (control/checkpoint.hpp) ------------------
 
   /// Serialize the daemon's full measurement state — epoch counter,
   /// cumulative telemetry totals, the live data plane, and the previous
   /// epoch's sketch (change detection needs it) — as a checkpoint payload.
-  /// Pair with CheckpointStore::save, which adds the CRC frame.
+  /// Pair with CheckpointStore::save_frame, which adds the CRC frame.
   std::vector<std::uint8_t> checkpoint_bytes() const {
     ByteWriter w;
     w.put_u32(kCheckpointMagic);
@@ -333,29 +330,20 @@ class MeasurementDaemon {
     if (r.get_u32() != kCheckpointMagic) {
       throw std::invalid_argument("daemon checkpoint: bad magic");
     }
-    const std::uint32_t version = r.get_u32();
-    if (version == 0 || version > kCheckpointVersion) {
+    if (r.get_u32() != kCheckpointVersion) {
       throw std::invalid_argument("daemon checkpoint: unsupported version");
     }
     const std::uint64_t epoch = r.get_u64();
     const std::uint64_t cum_packets = r.get_u64();
     const std::uint64_t cum_sampled = r.get_u64();
-    // v1 payloads predate seed rotation (implicitly generation 0); a
-    // rotation-enabled daemon cannot restore one — its counters were
-    // written under the un-keyed base seed.
-    const std::uint64_t gen = version >= 2 ? r.get_u64() : 0;
-    if (version < 2 && sched_.enabled()) {
-      throw std::invalid_argument(
-          "daemon checkpoint: v1 payload predates seed rotation");
-    }
+    const std::uint64_t gen = r.get_u64();
     if (gen != sched_.generation_of(epoch)) {
       throw std::invalid_argument(
           "daemon checkpoint: seed generation does not match this daemon's "
           "rotation schedule");
     }
-    const bool has_counts = version >= 2;
-    const std::uint64_t ingest_packets = has_counts ? r.get_u64() : 0;
-    const std::uint64_t ingest_sampled = has_counts ? r.get_u64() : 0;
+    const std::uint64_t ingest_packets = r.get_u64();
+    const std::uint64_t ingest_sampled = r.get_u64();
     const auto current_snap = r.get_blob();
 
     core::NitroUnivMon restored(um_cfg_, nitro_cfg_, sched_.seed_for_epoch(epoch));
@@ -378,13 +366,7 @@ class MeasurementDaemon {
     cum_packets_ = cum_packets;
     cum_sampled_ = cum_sampled;
     current_ = std::move(restored);
-    if (has_counts) {
-      current_.set_ingest_counts(ingest_packets, ingest_sampled);
-    } else {
-      // v1 never carried the counters; total() is exact for unsampled
-      // (vanilla) state, the best available approximation otherwise.
-      current_.set_ingest_counts(static_cast<std::uint64_t>(current_.total()), 0);
-    }
+    current_.set_ingest_counts(ingest_packets, ingest_sampled);
     previous_ = std::move(prev);
     // A restored sketch's relation to any delta base is unknown; the next
     // checkpoint frame must be a full one.
@@ -460,20 +442,14 @@ class MeasurementDaemon {
     if (r.get_u32() != kDeltaCkptMagic) {
       throw std::invalid_argument("daemon delta checkpoint: bad magic");
     }
-    const std::uint32_t version = r.get_u32();
-    if (version == 0 || version > kCheckpointVersion) {
+    if (r.get_u32() != kCheckpointVersion) {
       throw std::invalid_argument("daemon delta checkpoint: unsupported version");
-    }
-    if (version < 2 && sched_.enabled()) {
-      throw std::invalid_argument(
-          "daemon delta checkpoint: v1 payload predates seed rotation");
     }
     const std::uint64_t epoch = r.get_u64();
     const std::uint64_t cum_packets = r.get_u64();
     const std::uint64_t cum_sampled = r.get_u64();
-    const bool has_counts = version >= 2;
-    const std::uint64_t ingest_packets = has_counts ? r.get_u64() : 0;
-    const std::uint64_t ingest_sampled = has_counts ? r.get_u64() : 0;
+    const std::uint64_t ingest_packets = r.get_u64();
+    const std::uint64_t ingest_sampled = r.get_u64();
     const bool rotated = r.get_u8() != 0;
     decltype(r.get_blob()) closing{};
     if (rotated) closing = r.get_blob();
@@ -509,11 +485,7 @@ class MeasurementDaemon {
     epoch_ = epoch;
     cum_packets_ = cum_packets;
     cum_sampled_ = cum_sampled;
-    if (has_counts) {
-      current_.set_ingest_counts(ingest_packets, ingest_sampled);
-    } else {
-      current_.set_ingest_counts(static_cast<std::uint64_t>(current_.total()), 0);
-    }
+    current_.set_ingest_counts(ingest_packets, ingest_sampled);
     delta_ok_ = false;
     rotations_since_cut_ = 0;
     pre_rotation_delta_.clear();
@@ -532,9 +504,9 @@ class MeasurementDaemon {
   /// sketch starts fresh, and the epoch counter resumes at `next_epoch` so
   /// re-exported sequence numbers continue where the collector left off.
   /// `replica_seed_gen` is the seed generation the collector reported for
-  /// its replica (RecoverResponse.seed_gen, 0 on pre-rotation wire
-  /// versions); the previous_ baseline is rebuilt under that generation's
-  /// seed while the live sketch starts on next_epoch's.
+  /// its replica (RecoverResponse.seed_gen; 0 when rotation is off); the
+  /// previous_ baseline is rebuilt under that generation's seed while the
+  /// live sketch starts on next_epoch's.
   void seed_from_recovery(std::uint64_t next_epoch,
                           std::span<const std::uint8_t> univmon_snapshot,
                           std::int64_t packets,
@@ -561,16 +533,16 @@ class MeasurementDaemon {
   }
 
   /// Mutable data-plane access for the sharded integration: at each epoch
-  /// boundary the monitor merges every quiesced shard instance into the
-  /// daemon's (otherwise idle) data plane, then runs end_epoch() as usual
-  /// so task estimation and rotation see the global merged view.
+  /// boundary the monitor runtime merges every quiesced shard instance
+  /// into the daemon's (otherwise idle) data plane, then runs end_epoch()
+  /// as usual so task estimation and rotation see the global merged view.
   core::NitroUnivMon& data_plane_mut() noexcept { return current_; }
 
  private:
   static constexpr std::uint32_t kCheckpointMagic = 0x4e44434bu;  // "NDCK"
   static constexpr std::uint32_t kDeltaCkptMagic = 0x4e44444cu;   // "NDDL"
-  /// v2 adds the seed generation (keyed rotation, DESIGN.md §16); v1
-  /// payloads are still accepted by rotation-disabled daemons.
+  /// v2 added the seed generation (keyed rotation, DESIGN.md §16) and the
+  /// live ingest counters; decoders accept exactly this version.
   static constexpr std::uint32_t kCheckpointVersion = 2;
 
   /// Clock-skew fault point: timestamps entering the daemon can be shifted

@@ -16,8 +16,8 @@
 // the wire — frames carry only the generation number.
 //
 // rotation_epochs == 0 disables rotation entirely: every epoch uses
-// base_seed, which is bit-identical to the pre-rotation behavior (all
-// legacy checkpoints, wire frames and tests are generation 0).
+// base_seed, which is bit-identical to the pre-rotation behavior (every
+// checkpoint and wire frame of a rotation-off monitor is generation 0).
 #pragma once
 
 #include <cstdint>

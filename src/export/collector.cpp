@@ -184,7 +184,7 @@ CollectorCore::Ingest CollectorCore::ingest(const EpochMessage& msg,
   if (messages_applied_ != nullptr) messages_applied_->inc();
   if (epochs_applied_ctr_ != nullptr) epochs_applied_ctr_->inc(covered);
 
-  // End-to-end freshness from the v2 timestamps (0 = v1 peer, skip).
+  // End-to-end freshness from the wire timestamps (0 = unknown, skip).
   // Clocks are compared across processes: meaningful for same-host
   // steady clocks (this repo's deployments/tests); clamp to 0 otherwise.
   if (msg.epoch_close_ns != 0) {

@@ -152,7 +152,7 @@ class CollectorCore {
     core::EpochSpan span;  // union of applied spans
     std::int64_t packets = 0;
     bool stale = false;
-    // Freshness (v2 wire timestamps; all 0 when the peer speaks v1).
+    // Freshness (wire timestamps; 0 when the monitor did not stamp them).
     // e2e lag = receive - epoch close at the source: how old the newest
     // applied data was on arrival.  wire lag = receive - last send stamp:
     // the transport share of it (the rest is queue + retry delay).

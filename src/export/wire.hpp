@@ -36,21 +36,14 @@ inline constexpr std::uint32_t kEpochMsgMagic = 0x4e45504du;    // "NEPM"
 inline constexpr std::uint32_t kAckMsgMagic = 0x4e45504bu;      // "NEPK"
 inline constexpr std::uint32_t kRecoverReqMagic = 0x4e525251u;  // "NRRQ"
 inline constexpr std::uint32_t kRecoverRespMagic = 0x4e525250u; // "NRRP"
-/// v2 adds epoch-close and send timestamps to EpochMessage (freshness
-/// observability, DESIGN.md §12).  v3 adds the reverse-direction rejoin
-/// handshake (recover-request / recover-response, DESIGN.md §15); the
-/// epoch/ack layouts are unchanged.  v4 adds the seed generation to
-/// EpochMessage and RecoverResponse (keyed seed rotation, DESIGN.md §16);
-/// pre-v4 frames decode with generation 0, which is exactly what a
-/// rotation-disabled monitor runs at.  Decoders accept [kWireVersionMin,
-/// kWireVersion]; v1 frames decode with zeroed timestamps, and anything
-/// newer than kWireVersion is rejected by name *before* any field is
-/// read, so an old peer never garbage-decodes a newer layout.  The
-/// recover messages themselves require version >= 3: they did not exist
-/// before, so an older-tagged frame claiming to be one is forged.
+/// Wire history: v2 added epoch-close and send timestamps to EpochMessage
+/// (freshness observability, DESIGN.md §12), v3 the reverse-direction
+/// rejoin handshake (recover-request / recover-response, DESIGN.md §15),
+/// v4 the seed generation on EpochMessage and RecoverResponse (keyed seed
+/// rotation, DESIGN.md §16).  Every peer speaks v4: decoders accept
+/// exactly kWireVersion and reject any other tag by name *before* any
+/// field is read, so no layout is ever decoded through another's.
 inline constexpr std::uint32_t kWireVersion = 4;
-inline constexpr std::uint32_t kWireVersionMin = 1;
-inline constexpr std::uint32_t kRecoverVersionMin = 3;
 
 /// Frames larger than this are treated as stream corruption (a UnivMon
 /// snapshot at paper scale is a few MB; 64 MiB leaves generous headroom).
@@ -62,7 +55,7 @@ struct EpochMessage {
   std::uint64_t seq_last = 1;   // inclusive; > seq_first after coalescing
   core::EpochSpan span;
   std::int64_t packets = 0;
-  /// v2 freshness timestamps (monitor steady clock; 0 = unknown / v1 peer).
+  /// v2 freshness timestamps (monitor steady clock; 0 = unknown).
   /// epoch_close_ns is when the *newest* covered epoch closed at the
   /// source; send_ns is stamped at each delivery attempt, so close->send
   /// is queue+retry delay and send->receive is the wire.

@@ -48,8 +48,7 @@ enum class Site : std::uint8_t {
   kWorkerLoop,       // ShardGroup worker, once per poll iteration
   kDaemonEpoch,      // MeasurementDaemon::end_epoch entry
   kDaemonClock,      // packet timestamps entering the daemon
-  kCheckpointWrite,  // CheckpointStore::save, before the tmp write
-  kCheckpointRead,   // CheckpointStore::load, after reading a file
+  kCheckpointWrite,  // CheckpointStore::save_frame, before the tmp write
   kExportConnect,    // EpochExporter, before each connect attempt
   kExportSend,       // EpochExporter, before each epoch frame send
   kCollectorIngest,  // collector connection, per decoded epoch frame
@@ -69,7 +68,6 @@ inline const char* to_string(Site s) noexcept {
     case Site::kDaemonEpoch: return "daemon_epoch";
     case Site::kDaemonClock: return "daemon_clock";
     case Site::kCheckpointWrite: return "checkpoint_write";
-    case Site::kCheckpointRead: return "checkpoint_read";
     case Site::kExportConnect: return "export_connect";
     case Site::kExportSend: return "export_send";
     case Site::kCollectorIngest: return "collector_ingest";
@@ -91,7 +89,7 @@ enum class Action : std::uint8_t {
   kDie,        // worker: exit its loop; daemon: throw DaemonCrash
   kReject,     // ring: report full (overflow storm)
   kTornWrite,  // checkpoint save: persist only `param` bytes of the frame
-  kCorrupt,    // checkpoint read: flip bits (seeded) before validation
+  kCorrupt,    // chain load: flip bits (seeded) before validation
   kClockSkew,  // param = ns offset added to the timestamp (as int64)
   kDuplicate,  // exporter: transmit the epoch frame twice (dedup test)
 };
@@ -143,9 +141,6 @@ class Schedule {
   Schedule& torn_checkpoint_write(std::uint64_t at_hit, std::uint64_t keep_bytes) {
     return add({Site::kCheckpointWrite, at_hit, 0, kAnyLane, Action::kTornWrite,
                 keep_bytes});
-  }
-  Schedule& corrupt_checkpoint_read(std::uint64_t at_hit) {
-    return add({Site::kCheckpointRead, at_hit, 0, kAnyLane, Action::kCorrupt, 0});
   }
   Schedule& crash_daemon_epoch(std::uint64_t at_hit) {
     return add({Site::kDaemonEpoch, at_hit, 0, kAnyLane, Action::kDie, 0});

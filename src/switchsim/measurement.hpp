@@ -1,30 +1,18 @@
 // Measurement-hook interface between a switch pipeline and a sketch.
 //
-// A pipeline invokes the hook once per parsed packet on its forwarding
-// thread ("all-in-one" / AIO integration), or the hook's pre-processing
-// stage pushes selected flow keys into an SPSC ring drained by a separate
-// sketching thread ("separate-thread" integration, §6).
+// A pipeline invokes the hook once per parsed packet (or rx burst) on its
+// forwarding thread ("all-in-one" / AIO integration).  The threaded
+// integrations implement the same interface: NitroSeparateThread pushes
+// the sampled ~p of the traffic to one sketching thread (§6), and the
+// sharded data plane dispatches every packet to N shard workers.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <string>
-#include <thread>
 
-#include "common/backoff.hpp"
 #include "common/flow_key.hpp"
-#include "common/spsc_ring.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace nitro::switchsim {
-
-// The backoff primitives moved to common/backoff.hpp so the shard layer
-// can share them; these aliases keep existing switchsim call sites intact.
-using nitro::cpu_relax;
-using nitro::kSpinsBeforeYield;
 
 class Measurement {
  public:
@@ -95,161 +83,6 @@ class InlineMeasurementNoTs final : public Measurement {
 
  private:
   Sketch& sketch_;
-};
-
-/// Separate-thread integration: the forwarding thread enqueues every flow
-/// key (vanilla sketches) or lets the sketch's own sampling decide later;
-/// a dedicated thread drains the ring and updates the sketch.  If the ring
-/// fills, samples are dropped and counted — matching the shared-buffer
-/// design modified from moodycamel's queue in the paper.
-template <typename Sketch>
-class SeparateThreadMeasurement final : public Measurement {
- public:
-  struct Item {
-    FlowKey key;
-    std::uint64_t ts_ns;
-  };
-
-  /// The consumer samples ring occupancy into the telemetry histogram once
-  /// every this many pops.
-  static constexpr std::uint64_t kOccupancySampleInterval = 256;
-
-  /// Items staged per bulk ring push on the burst path (covers the
-  /// pipelines' rx burst of 32 in one reservation).
-  static constexpr std::size_t kPushChunk = 32;
-
-  explicit SeparateThreadMeasurement(Sketch& sketch, std::size_t ring_capacity = 1 << 16)
-      : sketch_(sketch), ring_(ring_capacity) {
-    consumer_ = std::thread([this] { run(); });
-  }
-
-  ~SeparateThreadMeasurement() override { stop(); }
-
-  void on_packet(const FlowKey& key, std::uint16_t, std::uint64_t ts_ns) override {
-    if (ring_.try_push({key, ts_ns})) {
-      ++pushed_;
-      return;
-    }
-    // Overruns are dropped and counted, never blocked on (§6: losing a
-    // sample costs accuracy, stalling the forwarding thread costs packets).
-    drops_.inc();
-    const std::uint64_t n = drops_.value();
-    // Acquire pairs with the release store in attach_telemetry() so the
-    // log's construction is visible before first use.
-    telemetry::EventLog* events = events_.load(std::memory_order_acquire);
-    if (events && (n == 1 || (n & 0xffff) == 0)) {
-      events->append(telemetry::EventKind::kRingDrop, ts_ns,
-                     static_cast<double>(n));
-    }
-  }
-
-  /// Burst fast path: one bulk ring reservation per chunk instead of one
-  /// release store per packet.  Whatever a full ring rejects is shed and
-  /// counted — the same policy as on_packet.
-  void on_burst(const FlowKey* keys, const std::uint16_t*, std::size_t n,
-                std::uint64_t ts_ns) override {
-    Item items[kPushChunk];
-    std::size_t i = 0;
-    while (i < n) {
-      const std::size_t chunk = std::min(n - i, kPushChunk);
-      for (std::size_t j = 0; j < chunk; ++j) items[j] = {keys[i + j], ts_ns};
-      const std::size_t accepted = ring_.try_push_bulk(items, chunk);
-      pushed_ += accepted;
-      const std::size_t shed = chunk - accepted;
-      if (shed > 0) {
-        const std::uint64_t before = drops_.value();
-        drops_.inc(shed);
-        telemetry::EventLog* events = events_.load(std::memory_order_acquire);
-        // Same rate limit as the scalar path: log the first drop and then
-        // once per 64Ki (detected as a 2^16 boundary crossing).
-        if (events &&
-            (before == 0 || (before >> 16) != ((before + shed) >> 16))) {
-          events->append(telemetry::EventKind::kRingDrop, ts_ns,
-                         static_cast<double>(before + shed));
-        }
-      }
-      i += chunk;
-    }
-  }
-
-  /// Drain barrier: blocks until the consumer has applied every pushed
-  /// item, then returns with the consumer still running, so a pipeline can
-  /// run multiple epochs against one measurement.  The thread itself stops
-  /// in the destructor.
-  void finish() override {
-    while (applied_.load(std::memory_order_acquire) < pushed_) cpu_relax();
-  }
-
-  /// Expose the internal counters in `registry` (the drop and idle-spin
-  /// counters live here and are registered by reference; occupancy
-  /// histogram and the event log are registry-owned).
-  void attach_telemetry(telemetry::Registry& registry, const std::string& prefix) {
-    registry.register_external_counter(prefix + "_drops_total",
-                                       "ring overruns: samples dropped", drops_);
-    registry.register_external_counter(
-        prefix + "_idle_spins_total",
-        "consumer poll rounds that found the ring empty", idle_spins_);
-    occupancy_.store(&registry.histogram(prefix + "_occupancy",
-                                         "ring occupancy sampled by the consumer"),
-                     std::memory_order_release);
-    events_.store(&registry.event_log(prefix + "_events"), std::memory_order_release);
-  }
-
-  std::uint64_t drops() const noexcept { return drops_.value(); }
-  std::uint64_t idle_spins() const noexcept { return idle_spins_.value(); }
-  std::uint64_t applied() const noexcept {
-    return applied_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void run() {
-    Item item;
-    std::uint32_t idle = 0;
-    std::uint64_t pops_since_sample = 0;
-    while (!done_.load(std::memory_order_acquire) || !ring_.empty_approx()) {
-      if (ring_.try_pop(item)) {
-        idle = 0;
-        if constexpr (requires { sketch_.update(item.key, std::int64_t{1}, item.ts_ns); }) {
-          sketch_.update(item.key, 1, item.ts_ns);
-        } else {
-          sketch_.update(item.key, 1);
-        }
-        telemetry::Histogram* occ = occupancy_.load(std::memory_order_acquire);
-        if (occ && ++pops_since_sample >= kOccupancySampleInterval) {
-          pops_since_sample = 0;
-          occ->observe(ring_.size_approx());
-        }
-        applied_.fetch_add(1, std::memory_order_release);
-      } else {
-        idle_spins_.inc();
-        if (idle < kSpinsBeforeYield) {
-          ++idle;
-          cpu_relax();
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    }
-  }
-
-  void stop() {
-    if (consumer_.joinable()) {
-      done_.store(true, std::memory_order_release);
-      consumer_.join();
-    }
-  }
-
-  Sketch& sketch_;
-  SpscRing<Item> ring_;
-  std::thread consumer_;
-  std::atomic<bool> done_{false};
-  std::uint64_t pushed_ = 0;                   // producer-thread only
-  std::atomic<std::uint64_t> applied_{0};      // consumer -> producer barrier
-  telemetry::Counter drops_;  // relaxed atomic (was a racy plain u64)
-  telemetry::Counter idle_spins_;
-  // Atomic because attach_telemetry() may run after the consumer started.
-  std::atomic<telemetry::Histogram*> occupancy_{nullptr};
-  std::atomic<telemetry::EventLog*> events_{nullptr};
 };
 
 }  // namespace nitro::switchsim

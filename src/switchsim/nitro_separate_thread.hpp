@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/backoff.hpp"
 #include "common/flow_key.hpp"
 #include "common/spsc_ring.hpp"
 #include "core/nitro_config.hpp"
@@ -112,7 +113,7 @@ class NitroSeparateThread final : public Measurement {
   void finish() override { stop(); }
 
   /// Expose ring counters and wire the rate controller's p-timeline into
-  /// `registry` (same layout as SeparateThreadMeasurement).
+  /// `registry` under `prefix` (`<prefix>_drops_total`, ...).
   void attach_telemetry(telemetry::Registry& registry, const std::string& prefix) {
     registry.register_external_counter(prefix + "_packets_total",
                                        "packets seen by the pre-processing stage",

@@ -5,7 +5,7 @@
 // pays one flow-hash + one SPSC push, while the d-row sketch work runs on
 // the shard workers.  finish() is the pipeline's end-of-run barrier and
 // maps to drain(), so post-run queries observe every forwarded packet —
-// the same contract as SeparateThreadMeasurement, scaled to N consumers.
+// the same contract as NitroSeparateThread's ring, scaled to N consumers.
 #pragma once
 
 #include <cstdint>

@@ -178,9 +178,10 @@ TEST(SeedRotation, MismatchedScheduleRejectsTheCheckpoint) {
   EXPECT_THROW(rotation_off.restore_checkpoint(payload), std::invalid_argument);
 }
 
-TEST(SeedRotation, LegacyV1CheckpointsRejectedOnlyWhenRotationIsOn) {
+TEST(SeedRotation, LegacyV1CheckpointsAreRejected) {
   // Hand-build a v1 payload (pre-rotation layout: no generation field);
-  // magic/version match daemon.hpp's kCheckpointMagic / v1.
+  // magic/version match daemon.hpp's kCheckpointMagic / v1.  Only v2 is
+  // decoded, with or without rotation.
   sketch::UnivMon um(um_config(), kSeed);
   um.update(trace::flow_key_for_rank(1, 9), 5);
   ByteWriter w;
@@ -194,8 +195,8 @@ TEST(SeedRotation, LegacyV1CheckpointsRejectedOnlyWhenRotationIsOn) {
   const auto v1 = std::move(w).take();
 
   auto legacy = make_daemon();
-  legacy.restore_checkpoint(v1);  // rotation off: accepted as generation 0
-  EXPECT_EQ(legacy.data_plane().total(), 5);
+  EXPECT_THROW(legacy.restore_checkpoint(v1), std::invalid_argument);
+  EXPECT_EQ(legacy.data_plane().total(), 0);  // untouched by the bad frame
 
   auto rotating = make_daemon();
   rotating.enable_seed_rotation(kMasterKey, kRotationEpochs);

@@ -4,20 +4,23 @@
 // duplicates frames.  The collector's merged view must equal a single
 // reference instance that saw the concatenation of all three packet
 // streams — exact for counters, top-k within heap re-estimation tolerance
-// — and no epoch may ever be double-counted.
+// — and no epoch may ever be double-counted.  Every monitor is a
+// runtime::MonitorRuntime, the epoch loop nitro_monitor --export-to ships.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "control/daemon.hpp"
 #include "core/nitro_univmon.hpp"
 #include "export/collector.hpp"
 #include "export/exporter.hpp"
 #include "fault/fault.hpp"
+#include "ingest/synth_backend.hpp"
+#include "runtime/monitor_runtime.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
 #include "trace/workloads.hpp"
@@ -53,49 +56,51 @@ trace::Trace monitor_stream(int monitor) {
   return trace::caida_like(spec);
 }
 
+/// nitro_monitor --export-to ... --source-id `monitor`, exporting with
+/// `ecfg`'s (test-sized) deadlines.
+runtime::MonitorConfig monitor_config(int monitor, const ExporterConfig& ecfg) {
+  runtime::MonitorConfig cfg;
+  cfg.univmon = um_config();
+  cfg.nitro = vanilla_config();
+  cfg.seed = kSeed;
+  cfg.source_id = static_cast<std::uint64_t>(monitor);
+  cfg.exporter = ecfg;
+  return cfg;
+}
+
+/// Ingest `stream` split into kEpochsPerMonitor epochs, closing each.
+void run_epochs(runtime::MonitorRuntime& rt, const trace::Trace& stream) {
+  const std::size_t per_epoch = stream.size() / kEpochsPerMonitor;
+  for (int e = 0; e < kEpochsPerMonitor; ++e) {
+    (void)rt.run_epoch(e == kEpochsPerMonitor - 1 ? ~0ull : per_epoch);
+  }
+}
+
 struct E2eResult {
   std::uint64_t acked = 0;
   std::uint64_t published = 0;
 };
 
-/// Run one monitor: a MeasurementDaemon wired to an EpochExporter via
-/// set_export_sink, fed `stream` split into epochs.  This is the same
-/// integration nitro_monitor --export-to uses.
+/// Run one monitor: the shipped runtime fed `stream` split into epochs,
+/// exporting every closed epoch to the collector.
 E2eResult run_monitor(int monitor, const Endpoint& collector_ep,
                       telemetry::Registry& registry) {
-  control::MeasurementDaemon::Tasks tasks;
-  control::MeasurementDaemon daemon(um_config(), vanilla_config(), tasks, kSeed);
-
   ExporterConfig ecfg;
   ecfg.endpoint = collector_ep;
-  ecfg.source_id = static_cast<std::uint64_t>(monitor);
   ecfg.connect_timeout_ms = 500;
   ecfg.ack_timeout_ms = 1500;
   ecfg.backoff_base_ns = 500'000;
   ecfg.backoff_max_ns = 10'000'000;
   ecfg.queue_capacity = 4;
-  EpochExporter exporter(ecfg, univmon_coalescer(um_config(), kSeed));
-  exporter.attach_telemetry(registry, "nitro_export_src" + std::to_string(monitor));
-  exporter.start();
-  daemon.set_export_sink([&exporter](control::ExportedEpoch&& e) {
-    exporter.publish(e.span, e.packets, std::move(e.snapshot));
-  });
-
   const auto stream = monitor_stream(monitor);
-  const std::size_t per_epoch = stream.size() / kEpochsPerMonitor;
-  std::size_t cursor = 0;
-  for (int e = 0; e < kEpochsPerMonitor; ++e) {
-    const std::size_t end =
-        e == kEpochsPerMonitor - 1 ? stream.size() : cursor + per_epoch;
-    for (; cursor < end; ++cursor) daemon.on_packet(stream[cursor].key);
-    (void)daemon.end_epoch();
-  }
+  ingest::SynthReplayBackend backend(stream);
+  runtime::MonitorRuntime rt(monitor_config(monitor, ecfg), backend, registry);
+  run_epochs(rt, stream);
 
   E2eResult r;
   r.published = static_cast<std::uint64_t>(kEpochsPerMonitor);
-  EXPECT_TRUE(exporter.flush(30'000)) << "monitor " << monitor << " did not drain";
-  r.acked = exporter.epochs_acked();
-  exporter.stop();
+  EXPECT_TRUE(rt.shutdown(30'000)) << "monitor " << monitor << " did not drain";
+  r.acked = rt.exporter()->epochs_acked();
   return r;
 }
 
@@ -121,12 +126,15 @@ TEST(ExportE2e, ThreeMonitorsOneCollectorUnderInjectedFaults) {
   ASSERT_TRUE(server.start());
   const Endpoint ep = server.endpoint();
 
-  // Monitors run concurrently, as three daemons would on three switches.
+  // Monitors run concurrently, as three daemons would on three switches,
+  // each process with its own telemetry registry.
   std::vector<std::thread> monitors;
   std::vector<E2eResult> results(kMonitors + 1);
+  std::array<telemetry::Registry, kMonitors + 1> monitor_registries;
   for (int m = 1; m <= kMonitors; ++m) {
-    monitors.emplace_back(
-        [m, &ep, &registry, &results] { results[m] = run_monitor(m, ep, registry); });
+    monitors.emplace_back([m, &ep, &monitor_registries, &results] {
+      results[m] = run_monitor(m, ep, monitor_registries[m]);
+    });
   }
   for (auto& t : monitors) t.join();
 
@@ -146,8 +154,9 @@ TEST(ExportE2e, ThreeMonitorsOneCollectorUnderInjectedFaults) {
   EXPECT_GE(schedule.fired(fault::Site::kExportSend), 2u);
   EXPECT_GE(schedule.fired(fault::Site::kCollectorIngest), 2u);
   EXPECT_GE(registry.counter("nitro_collector_injected_conn_kills_total").value(), 2u);
-  EXPECT_GE(registry.counter("nitro_export_src2_injected_dup_frames_total").value(),
-            1u);
+  EXPECT_GE(
+      monitor_registries[2].counter("nitro_export_injected_dup_frames_total").value(),
+      1u);
 
   // --- no double count: packets are exact per source and in total --------
   std::int64_t total_packets = 0;
@@ -231,35 +240,16 @@ TEST(ExportE2e, TraceSpansStitchMonitorToCollectorWithE2eLag) {
   // Sequential monitors: the ambient tracer context is process-wide, as it
   // is in the real (one-monitor-per-process) deployment.
   for (int m = 1; m <= kMonitors; ++m) {
-    control::MeasurementDaemon::Tasks tasks;
-    control::MeasurementDaemon daemon(um_config(), vanilla_config(), tasks, kSeed);
     ExporterConfig ecfg;
     ecfg.endpoint = ep;
-    ecfg.source_id = static_cast<std::uint64_t>(m);
     ecfg.connect_timeout_ms = 500;
     ecfg.ack_timeout_ms = 1500;
-    EpochExporter exporter(ecfg, univmon_coalescer(um_config(), kSeed));
-    exporter.start();
-    daemon.set_export_sink([&exporter](control::ExportedEpoch&& e) {
-      exporter.publish(e.span, e.packets, std::move(e.snapshot), e.close_ns);
-    });
-
     const auto stream = monitor_stream(m);
-    const std::size_t per_epoch = stream.size() / kEpochsPerMonitor;
-    std::size_t cursor = 0;
-    for (int e = 0; e < kEpochsPerMonitor; ++e) {
-      monitor_tracer.set_context(static_cast<std::uint64_t>(m), daemon.epoch());
-      const std::size_t end =
-          e == kEpochsPerMonitor - 1 ? stream.size() : cursor + per_epoch;
-      {
-        telemetry::ScopedSpan ingest(telemetry::Stage::kIngest,
-                                     static_cast<std::uint64_t>(m), daemon.epoch());
-        for (; cursor < end; ++cursor) daemon.on_packet(stream[cursor].key);
-      }
-      (void)daemon.end_epoch();
-    }
-    ASSERT_TRUE(exporter.flush(30'000)) << "monitor " << m;
-    exporter.stop();
+    ingest::SynthReplayBackend backend(stream);
+    telemetry::Registry monitor_registry;
+    runtime::MonitorRuntime rt(monitor_config(m, ecfg), backend, monitor_registry);
+    run_epochs(rt, stream);
+    ASSERT_TRUE(rt.shutdown(30'000)) << "monitor " << m;
   }
   telemetry::uninstall_tracer();
 
@@ -353,37 +343,28 @@ TEST(ExportE2e, CollectorRestartKeepsAggregationStateViaExternalCore) {
 
   ExporterConfig ecfg;
   ecfg.endpoint = ep;
-  ecfg.source_id = 1;
   ecfg.connect_timeout_ms = 300;
   ecfg.ack_timeout_ms = 800;
   ecfg.backoff_base_ns = 500'000;
   ecfg.backoff_max_ns = 5'000'000;
-  EpochExporter exporter(ecfg, univmon_coalescer(um_config(), kSeed));
-  exporter.start();
-
-  control::MeasurementDaemon::Tasks tasks;
-  control::MeasurementDaemon daemon(um_config(), vanilla_config(), tasks, kSeed);
-  daemon.set_export_sink([&exporter](control::ExportedEpoch&& e) {
-    exporter.publish(e.span, e.packets, std::move(e.snapshot));
-  });
-
   const auto stream = monitor_stream(1);
+  ingest::SynthReplayBackend backend(stream);
+  telemetry::Registry monitor_registry;
+  runtime::MonitorRuntime rt(monitor_config(1, ecfg), backend, monitor_registry);
+
   const std::size_t half = stream.size() / 2;
-  for (std::size_t i = 0; i < half; ++i) daemon.on_packet(stream[i].key);
-  (void)daemon.end_epoch();
-  ASSERT_TRUE(exporter.flush(10'000));
+  (void)rt.run_epoch(half);
+  ASSERT_TRUE(rt.exporter()->flush(10'000));
   EXPECT_EQ(core.epochs_applied(), 1u);
 
   // Restart: tear the server down (connections die) and bring a new one up
   // on the same port sharing the same core.
   server.reset();
-  for (std::size_t i = half; i < stream.size(); ++i) daemon.on_packet(stream[i].key);
-  (void)daemon.end_epoch();  // queued while the collector is down
+  (void)rt.run_epoch(~0ull);  // queued while the collector is down
   server = std::make_unique<CollectorServer>(core, ep);
   ASSERT_TRUE(server->start());
 
-  ASSERT_TRUE(exporter.flush(15'000));
-  exporter.stop();
+  ASSERT_TRUE(rt.shutdown(15'000));
   EXPECT_EQ(core.epochs_applied(), 2u);
   const auto sources = core.sources(1);
   ASSERT_EQ(sources.size(), 1u);

@@ -1,5 +1,5 @@
 // Seed generations on the wire and in the collector (wire v4, DESIGN.md
-// §16): the seed_gen field's roundtrip and pre-v4 compatibility, the
+// §16): the seed_gen field's roundtrip and pre-v4 rejection, the
 // collector's one-generation-per-replica rules (reset on advance, drop
 // stale, fold only the newest generation), packet conservation across a
 // rotation, and the exporter's refusal to coalesce across a generation
@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "control/codec.hpp"
@@ -102,8 +103,10 @@ TEST(GenerationWire, SeedGenerationRidesTheV4RecoverResponse) {
   EXPECT_EQ(back.snapshot, resp.snapshot);
 }
 
-TEST(GenerationWire, PreRotationV3FramesDecodeAsGenerationZero) {
-  // A v3 peer never wrote the field; its layout ends at send_ns + blob.
+TEST(GenerationWire, PreRotationV3FramesAreRejectedByName) {
+  // A v3 peer never wrote the generation field; its layout ends at
+  // send_ns + blob.  Decoding it through the v4 layout would read the
+  // blob length as the generation, so the version gate refuses it first.
   control::ByteWriter w;
   w.put_u32(kEpochMsgMagic);
   w.put_u32(3);
@@ -116,9 +119,12 @@ TEST(GenerationWire, PreRotationV3FramesDecodeAsGenerationZero) {
   w.put_u64(0);   // epoch_close_ns
   w.put_u64(0);   // send_ns
   w.put_blob({});
-  const EpochMessage back = decode_epoch(control::seal_frame(w.bytes()));
-  EXPECT_EQ(back.seed_gen, 0u);
-  EXPECT_EQ(back.packets, 77);
+  try {
+    (void)decode_epoch(control::seal_frame(w.bytes()));
+    FAIL() << "v3 frame decoded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "epoch msg: unsupported version 3 (speaks 4)");
+  }
 }
 
 // --- Collector generation handling ----------------------------------------

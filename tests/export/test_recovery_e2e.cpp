@@ -2,31 +2,31 @@
 // epochs to one collector; each monitor is crashed a different way —
 // mid-epoch, mid-checkpoint-write, and with its checkpoint directory
 // wiped — and restarted through the real recovery ladder (delta chain →
-// legacy checkpoint → rebuild-from-collector).  Afterwards the collector's
-// merged view must equal a single reference instance that saw all three
-// full streams, with exact per-source sequence accounting: no epoch lost,
-// no epoch double-counted.
+// rebuild-from-collector).  Afterwards the collector's merged view must
+// equal a single reference instance that saw all three full streams, with
+// exact per-source sequence accounting: no epoch lost, no epoch
+// double-counted.
 //
-// The monitor phases replicate nitro_monitor's loop: feed an epoch, save
-// a checkpoint frame (periodic full + deltas), cut, end_epoch -> export.
+// Every incarnation is a runtime::MonitorRuntime — the epoch loop
+// nitro_monitor ships: ingest, checkpoint frame (periodic full + deltas),
+// cut, end_epoch -> export, and the restore ladder at construction.
 // Sequence mapping: epochs 0..E-1 closed means seqs 1..E exported, so a
-// restored monitor resumes at seq epoch()+1 and a collector-rebuilt one
-// at last_seq+1.
+// chain-restored monitor resumes at seq epoch()+1 and a collector-rebuilt
+// one at last_seq+1.
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <memory>
 #include <string>
 
 #include <unistd.h>
 
-#include "control/checkpoint.hpp"
 #include "control/daemon.hpp"
 #include "core/nitro_univmon.hpp"
 #include "export/collector.hpp"
 #include "export/exporter.hpp"
-#include "export/recovery.hpp"
 #include "fault/fault.hpp"
+#include "ingest/synth_backend.hpp"
+#include "runtime/monitor_runtime.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/workloads.hpp"
 
@@ -70,92 +70,66 @@ std::string fresh_dir(int monitor) {
   return dir;
 }
 
-/// One monitor process incarnation: daemon + chain-checkpointing store +
-/// exporter, wired exactly like nitro_monitor --export-to.
-struct Monitor {
-  control::MeasurementDaemon daemon;
-  control::CheckpointStore store;
-  EpochExporter exporter;
-  std::uint64_t frames_since_full = 0;
-
-  Monitor(int id, const std::string& dir, const Endpoint& collector_ep)
-      : daemon(um_config(), vanilla_config(), control::MeasurementDaemon::Tasks{},
-               kSeed),
-        store(dir),
-        exporter(
-            [&] {
-              ExporterConfig ecfg;
-              ecfg.endpoint = collector_ep;
-              ecfg.source_id = static_cast<std::uint64_t>(id);
-              ecfg.connect_timeout_ms = 500;
-              ecfg.ack_timeout_ms = 1500;
-              ecfg.backoff_base_ns = 500'000;
-              ecfg.backoff_max_ns = 10'000'000;
-              return ecfg;
-            }(),
-            univmon_coalescer(um_config(), kSeed)) {
-    daemon.enable_delta_checkpoints();
-  }
-
-  void start() {
-    exporter.start();
-    daemon.set_export_sink([this](control::ExportedEpoch&& e) {
-      exporter.publish(e.span, e.packets, std::move(e.snapshot), e.close_ns);
-    });
-  }
-
-  void feed(const trace::Trace& stream, int epoch) {
-    const std::size_t per_epoch = stream.size() / kEpochs;
-    const std::size_t begin = static_cast<std::size_t>(epoch) * per_epoch;
-    const std::size_t end =
-        epoch == kEpochs - 1 ? stream.size() : begin + per_epoch;
-    for (std::size_t i = begin; i < end; ++i) daemon.on_packet(stream[i].key);
-  }
-
-  /// nitro_monitor's per-epoch checkpoint step: full every 4th frame (or
-  /// when no delta is expressible), delta otherwise.
-  void save_frame() {
-    const bool want_full = !daemon.delta_ready() || frames_since_full >= 4;
-    const auto saved =
-        store.save_frame("daemon", want_full,
-                         want_full ? daemon.checkpoint_bytes()
-                                   : daemon.delta_checkpoint_bytes());
-    ASSERT_TRUE(saved.ok);
-    daemon.cut_checkpoint_frame();
-    frames_since_full = want_full ? 1 : frames_since_full + 1;
-  }
-
-  void drain() { ASSERT_TRUE(exporter.flush(30'000)); }
-  void shutdown() { exporter.stop(); }
-};
-
-/// nitro_monitor's restore ladder on a fresh incarnation.  Returns the
-/// restore source (3 = chain, 4 = collector rebuild, 0 = nothing) and
-/// seeds the exporter's sequence accordingly.
-int restore(Monitor& mon, int id, const Endpoint& collector_ep,
-            std::uint64_t* chain_rejections = nullptr) {
-  const auto chain = mon.store.load_chain("daemon");
-  if (chain_rejections != nullptr) *chain_rejections = chain.frames_rejected;
-  if (chain.found) {
-    mon.daemon.restore_checkpoint(chain.base);
-    for (const auto& delta : chain.deltas) mon.daemon.apply_delta_checkpoint(delta);
-    // Epochs 0..epoch()-1 already went out as seqs 1..epoch(); the
-    // re-closed current epoch re-exports under its original seq, which
-    // the collector settles as a duplicate if it already applied it.
-    mon.exporter.set_next_seq(mon.daemon.epoch() + 1);
-    return 3;
-  }
-  const RecoveryResult rec =
-      request_recovery(collector_ep, static_cast<std::uint64_t>(id),
-                       /*timeout_ms=*/1000, /*attempts=*/4);
-  if (rec.ok && rec.resp.found) {
-    mon.daemon.seed_from_recovery(rec.resp.span.last + 1, rec.resp.snapshot,
-                                  rec.resp.packets);
-    mon.exporter.set_next_seq(rec.resp.last_seq + 1);
-    return 4;
-  }
-  return 0;
+/// Epoch e's slice [begin, end) of a monitor stream.
+std::pair<std::size_t, std::size_t> slice(const trace::Trace& stream, int e) {
+  const std::size_t per_epoch = stream.size() / kEpochs;
+  const std::size_t begin = static_cast<std::size_t>(e) * per_epoch;
+  return {begin, e == kEpochs - 1 ? stream.size() : begin + per_epoch};
 }
+
+/// nitro_monitor --checkpoint-dir DIR --recover-from-collector
+/// --export-to EP --source-id ID, with test-sized exporter deadlines.
+runtime::MonitorConfig monitor_config(int id, const std::string& dir,
+                                      const Endpoint& collector_ep) {
+  runtime::MonitorConfig cfg;
+  cfg.univmon = um_config();
+  cfg.nitro = vanilla_config();
+  cfg.seed = kSeed;
+  cfg.checkpoint_dir = dir;
+  cfg.recover_from_collector = true;
+  cfg.source_id = static_cast<std::uint64_t>(id);
+  ExporterConfig ecfg;
+  ecfg.endpoint = collector_ep;
+  ecfg.connect_timeout_ms = 500;
+  ecfg.ack_timeout_ms = 1500;
+  ecfg.backoff_base_ns = 500'000;
+  ecfg.backoff_max_ns = 10'000'000;
+  cfg.exporter = ecfg;
+  return cfg;
+}
+
+/// One monitor process incarnation: the shipped runtime replaying its
+/// stream from the start of epoch `first_epoch` on.
+struct Monitor {
+  const trace::Trace stream;
+  const trace::Trace input;
+  ingest::SynthReplayBackend backend;
+  telemetry::Registry registry;
+  runtime::MonitorRuntime rt;
+
+  Monitor(int id, const std::string& dir, const Endpoint& collector_ep,
+          int first_epoch = 0)
+      : stream(monitor_stream(id)),
+        input(stream.begin() +
+                  static_cast<std::ptrdiff_t>(slice(stream, first_epoch).first),
+              stream.end()),
+        backend(input),
+        rt(monitor_config(id, dir, collector_ep), backend, registry) {}
+
+  /// Ingest epoch e's slice, checkpoint, close and export it.
+  void run_epoch(int e) {
+    const auto [begin, end] = slice(stream, e);
+    (void)rt.run_epoch(end - begin);
+  }
+  /// Close the restored epoch again without new traffic.
+  void reclose() { (void)rt.run_epoch(0); }
+
+  runtime::RestoreSource restore_source() const { return rt.restored().source; }
+  std::uint64_t chain_rejections() {
+    return registry.counter("nitro_checkpoint_chain_rejected_total").value();
+  }
+  void drain_and_exit() { ASSERT_TRUE(rt.shutdown(30'000)); }
+};
 
 TEST(RecoveryE2e, ThreeCrashedMonitorsRebuildAndTheMergedViewStaysExact) {
   CollectorConfig ccfg;
@@ -179,113 +153,79 @@ TEST(RecoveryE2e, ThreeCrashedMonitorsRebuildAndTheMergedViewStaysExact) {
     plan.crash_daemon_epoch(/*at_hit=*/3);  // the 3rd end_epoch dies
     fault::ScopedFaultInjection scoped(plan);
     Monitor mon(1, dir1, ep);
-    mon.start();
-    const auto stream = monitor_stream(1);
-    mon.feed(stream, 0);
-    mon.save_frame();
-    (void)mon.daemon.end_epoch();  // -> seq 1
-    mon.feed(stream, 1);
-    mon.save_frame();
-    (void)mon.daemon.end_epoch();  // -> seq 2
-    mon.feed(stream, 2);
-    mon.save_frame();
-    EXPECT_THROW((void)mon.daemon.end_epoch(), control::DaemonCrash);
+    mon.run_epoch(0);  // -> seq 1
+    mon.run_epoch(1);  // -> seq 2
+    EXPECT_THROW(mon.run_epoch(2), control::DaemonCrash);
     EXPECT_EQ(plan.fired(fault::Site::kDaemonEpoch), 1u);
-    mon.drain();  // seqs 1..2 settle before the "process" disappears
-    mon.shutdown();
+    mon.drain_and_exit();  // seqs 1..2 settle before the "process" disappears
   }
   {
-    Monitor mon(1, dir1, ep);
-    std::uint64_t rejected = 0;
-    ASSERT_EQ(restore(mon, 1, ep, &rejected), 3) << "chain restore expected";
-    EXPECT_EQ(rejected, 0u);
-    ASSERT_EQ(mon.daemon.epoch(), 2u);  // epoch-2 packets are in the sketch
-    mon.start();
-    const auto stream = monitor_stream(1);
-    (void)mon.daemon.end_epoch();  // re-close epoch 2 -> seq 3, fresh
-    mon.feed(stream, 3);
-    mon.save_frame();
-    (void)mon.daemon.end_epoch();  // -> seq 4
-    mon.drain();
-    mon.shutdown();
+    Monitor mon(1, dir1, ep, /*first_epoch=*/3);
+    ASSERT_EQ(mon.restore_source(), runtime::RestoreSource::kChain)
+        << "chain restore expected";
+    EXPECT_EQ(mon.chain_rejections(), 0u);
+    ASSERT_EQ(mon.rt.daemon().epoch(), 2u);  // epoch-2 packets are in the sketch
+    mon.reclose();     // re-close epoch 2 -> seq 3, fresh
+    mon.run_epoch(3);  // -> seq 4
+    mon.drain_and_exit();
   }
 
   // --- monitor 2: crash mid-checkpoint (the epoch-2 delta frame is torn
-  // on disk; restart falls back to the epoch-1 prefix of the chain and
-  // re-delivers seq 2, which the collector drops as a duplicate) ---------
+  // on disk and the process dies before closing epoch 2; restart falls
+  // back to the epoch-1 prefix of the chain and re-delivers seq 2, which
+  // the collector drops as a duplicate) ----------------------------------
   {
     fault::Schedule plan;
     plan.torn_checkpoint_write(/*at_hit=*/3, /*keep_bytes=*/20);
+    plan.crash_daemon_epoch(/*at_hit=*/3);
     fault::ScopedFaultInjection scoped(plan);
     Monitor mon(2, dir2, ep);
-    mon.start();
-    const auto stream = monitor_stream(2);
-    mon.feed(stream, 0);
-    mon.save_frame();
-    (void)mon.daemon.end_epoch();  // -> seq 1
-    mon.feed(stream, 1);
-    mon.save_frame();
-    (void)mon.daemon.end_epoch();  // -> seq 2
-    mon.feed(stream, 2);
-    mon.save_frame();  // torn on disk, reported as ok — then the crash
+    mon.run_epoch(0);  // -> seq 1
+    mon.run_epoch(1);  // -> seq 2
+    // The torn frame is reported as saved — then the crash.
+    EXPECT_THROW(mon.run_epoch(2), control::DaemonCrash);
     EXPECT_EQ(plan.fired(fault::Site::kCheckpointWrite), 1u);
-    mon.drain();
-    mon.shutdown();
+    mon.drain_and_exit();
   }
   {
-    Monitor mon(2, dir2, ep);
-    std::uint64_t rejected = 0;
-    ASSERT_EQ(restore(mon, 2, ep, &rejected), 3) << "chain restore expected";
-    EXPECT_GE(rejected, 1u);  // the torn epoch-2 frame was detected
-    ASSERT_EQ(mon.daemon.epoch(), 1u);  // fell back to the epoch-1 frame
-    mon.start();
-    const auto stream = monitor_stream(2);
-    (void)mon.daemon.end_epoch();  // re-close epoch 1 -> seq 2: duplicate
-    mon.feed(stream, 2);           // epoch-2 packets never left the host;
-    mon.save_frame();              // re-feed them so nothing is lost
-    (void)mon.daemon.end_epoch();  // -> seq 3
-    mon.feed(stream, 3);
-    mon.save_frame();
-    (void)mon.daemon.end_epoch();  // -> seq 4
-    mon.drain();
-    mon.shutdown();
+    Monitor mon(2, dir2, ep, /*first_epoch=*/2);
+    ASSERT_EQ(mon.restore_source(), runtime::RestoreSource::kChain)
+        << "chain restore expected";
+    EXPECT_GE(mon.chain_rejections(), 1u);  // the torn epoch-2 frame was detected
+    ASSERT_EQ(mon.rt.daemon().epoch(), 1u);  // fell back to the epoch-1 frame
+    mon.reclose();     // re-close epoch 1 -> seq 2: duplicate
+    mon.run_epoch(2);  // epoch-2 packets never left the host; re-feed
+                       // them so nothing is lost -> seq 3
+    mon.run_epoch(3);  // -> seq 4
+    mon.drain_and_exit();
   }
 
   // --- monitor 3: crash with local state wiped; rebuild from the
   // collector's replica, with the first recover request dropped ----------
   {
     Monitor mon(3, dir3, ep);
-    mon.start();
-    const auto stream = monitor_stream(3);
-    mon.feed(stream, 0);
-    mon.save_frame();
-    (void)mon.daemon.end_epoch();  // -> seq 1
-    mon.feed(stream, 1);
-    mon.save_frame();
-    (void)mon.daemon.end_epoch();  // -> seq 2
-    mon.feed(stream, 2);           // epoch 2 in flight when the host dies
-    mon.drain();
-    mon.shutdown();
+    mon.run_epoch(0);  // -> seq 1
+    mon.run_epoch(1);  // -> seq 2
+    // Epoch 2 is in flight when the host dies: ingested, never closed.
+    const auto [begin, end] = slice(mon.stream, 2);
+    for (std::size_t i = begin; i < end; ++i) {
+      mon.rt.daemon().on_packet(mon.stream[i].key);
+    }
+    mon.drain_and_exit();
   }
   std::filesystem::remove_all(dir3);
   {
     fault::Schedule plan;
     plan.drop_recover_request(/*at_hit=*/1, /*every=*/0, /*lane=*/3);
     fault::ScopedFaultInjection scoped(plan);
-    Monitor mon(3, dir3, ep);
-    ASSERT_EQ(restore(mon, 3, ep), 4) << "collector rebuild expected";
+    Monitor mon(3, dir3, ep, /*first_epoch=*/2);
+    ASSERT_EQ(mon.restore_source(), runtime::RestoreSource::kCollector)
+        << "collector rebuild expected";
     EXPECT_GE(plan.fired(fault::Site::kRecoverServe), 1u);
-    ASSERT_EQ(mon.daemon.epoch(), 2u);  // resumes at the next unapplied epoch
-    mon.start();
-    const auto stream = monitor_stream(3);
-    mon.feed(stream, 2);  // re-feed the lost epoch in full
-    mon.save_frame();
-    (void)mon.daemon.end_epoch();  // -> seq 3
-    mon.feed(stream, 3);
-    mon.save_frame();
-    (void)mon.daemon.end_epoch();  // -> seq 4
-    mon.drain();
-    mon.shutdown();
+    ASSERT_EQ(mon.rt.daemon().epoch(), 2u);  // resumes at the next unapplied epoch
+    mon.run_epoch(2);  // re-feed the lost epoch in full -> seq 3
+    mon.run_epoch(3);  // -> seq 4
+    mon.drain_and_exit();
   }
   EXPECT_GE(registry.counter("nitro_collector_injected_recover_drops_total").value(),
             1u);

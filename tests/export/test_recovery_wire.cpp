@@ -111,7 +111,7 @@ std::vector<std::uint8_t> recover_response_with(
 }
 
 TEST(RecoverWire, PreV3VersionTagsAreForgedAndRejected) {
-  for (std::uint32_t v : {0u, 1u, 2u, kWireVersion + 1}) {
+  for (std::uint32_t v : {0u, 1u, 2u, 3u, kWireVersion + 1}) {
     EXPECT_THROW((void)decode_recover_request(recover_request_with_version(v)),
                  std::invalid_argument)
         << "request version " << v;

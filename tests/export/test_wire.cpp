@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "control/codec.hpp"
 #include "trace/workloads.hpp"
 
@@ -144,7 +146,7 @@ TEST(WireFuzz, BadInnerMagicAndVersionAreRejectedByName) {
     w.put_i64(0);
     w.put_blob({});
     const auto frame = control::seal_frame(w.bytes());
-    EXPECT_EQ(decode_error(frame), "epoch msg: unsupported version 99 (speaks 1..4)");
+    EXPECT_EQ(decode_error(frame), "epoch msg: unsupported version 99 (speaks 4)");
   }
 }
 
@@ -159,13 +161,14 @@ TEST(WireCodec, TimestampsRoundTripOnV2Frames) {
   EXPECT_EQ(back.send_ns, msg.send_ns);
 }
 
-TEST(WireCodec, V1FramesFromOldMonitorsDecodeWithZeroTimestamps) {
-  // A v1 peer never wrote the timestamp fields; a v2 collector must accept
-  // the frame through the old layout and report "no freshness data".
+TEST(WireCodec, V1FramesFromOldMonitorsAreRejectedByName) {
+  // A v1 peer never wrote the timestamp or generation fields.  No peer
+  // speaks v1 any more, so the frame is rejected by its version tag —
+  // never decoded through the current layout.
   const EpochMessage msg = sample_message();
   control::ByteWriter w;
   w.put_u32(kEpochMsgMagic);
-  w.put_u32(1);  // kWireVersionMin layout: no timestamps
+  w.put_u32(1);  // v1 layout: no timestamps
   w.put_u64(msg.source_id);
   w.put_u64(msg.seq_first);
   w.put_u64(msg.seq_last);
@@ -173,25 +176,20 @@ TEST(WireCodec, V1FramesFromOldMonitorsDecodeWithZeroTimestamps) {
   w.put_u64(msg.span.last);
   w.put_i64(msg.packets);
   w.put_blob(msg.snapshot);
-  const EpochMessage back = decode_epoch(control::seal_frame(w.bytes()));
-  EXPECT_EQ(back.source_id, msg.source_id);
-  EXPECT_EQ(back.span, msg.span);
-  EXPECT_EQ(back.packets, msg.packets);
-  EXPECT_EQ(back.snapshot, msg.snapshot);
-  EXPECT_EQ(back.epoch_close_ns, 0u);
-  EXPECT_EQ(back.send_ns, 0u);
+  EXPECT_EQ(decode_error(control::seal_frame(w.bytes())),
+            "epoch msg: unsupported version 1 (speaks 4)");
 }
 
 TEST(WireFuzz, OldCollectorSimulationRejectsNewerFramesByName) {
-  // The other direction of negotiation: a frame one version ahead of what
-  // this build speaks (as a v2 frame looks to an old v1 collector) is
-  // rejected by version — before any field of the unknown layout is read.
+  // The other direction: a frame one version ahead of what this build
+  // speaks is rejected by version — before any field of the unknown
+  // layout is read.
   control::ByteWriter w;
   w.put_u32(kEpochMsgMagic);
   w.put_u32(kWireVersion + 1);
   // No body at all: the gate must fire before the decoder wants one.
   const auto frame = control::seal_frame(w.bytes());
-  EXPECT_EQ(decode_error(frame), "epoch msg: unsupported version 5 (speaks 1..4)");
+  EXPECT_EQ(decode_error(frame), "epoch msg: unsupported version 5 (speaks 4)");
 
   control::ByteWriter a;
   a.put_u32(kAckMsgMagic);
@@ -200,18 +198,21 @@ TEST(WireFuzz, OldCollectorSimulationRejectsNewerFramesByName) {
                std::invalid_argument);
 }
 
-TEST(WireCodec, V1AcksStillCompleteTheHandshake) {
-  // The ack layout is unchanged; a v1 ack must be accepted by a v2 peer.
+TEST(WireCodec, V1AcksAreRejectedByName) {
+  // The ack layout never changed, but every peer speaks the current
+  // version: a v1-tagged ack is rejected like any other version.
   control::ByteWriter w;
   w.put_u32(kAckMsgMagic);
   w.put_u32(1);
   w.put_u64(9);
   w.put_u64(55);
   w.put_u8(1);  // kApplied
-  const AckMessage back = decode_ack(control::seal_frame(w.bytes()));
-  EXPECT_EQ(back.source_id, 9u);
-  EXPECT_EQ(back.seq_last, 55u);
-  EXPECT_EQ(back.status, AckStatus::kApplied);
+  try {
+    (void)decode_ack(control::seal_frame(w.bytes()));
+    FAIL() << "v1 ack decoded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "ack msg: unsupported version 1 (speaks 4)");
+  }
 }
 
 TEST(WireFuzz, V2TimestampFieldTruncationsAreRejected) {

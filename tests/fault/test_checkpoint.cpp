@@ -1,7 +1,8 @@
-// Crash-safe checkpoint/restore: atomic save, CRC-gated load with
-// previous-generation fallback, torn-write and bit-rot injection, and
+// Crash-safe checkpoint/restore: atomic chain frames, CRC-gated restore
+// with older-generation fallback, torn-write and bit-rot injection, and
 // full round trips for every sketch family plus the daemon and the
-// sharded data plane.
+// sharded data plane.  (Chain truncation, forging and retention live in
+// tests/fault/test_delta_checkpoint.cpp.)
 #include "control/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -68,86 +69,101 @@ core::NitroConfig fixed_cfg(double p = 0.2) {
 
 TEST(CheckpointStore, SaveLoadRoundTripIsBitIdentical) {
   CheckpointStore store(fresh_dir("roundtrip"));
-  const auto payload = payload_of("the epoch state");
-  ASSERT_TRUE(store.save("daemon", payload));
-  const auto restored = store.load("daemon");
-  EXPECT_EQ(restored.source, CheckpointStore::Source::kCurrent);
-  EXPECT_FALSE(restored.current_rejected);
-  EXPECT_EQ(restored.payload, payload);
+  std::vector<std::uint8_t> payload(512);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 37 + 11);  // every byte value
+  }
+  ASSERT_TRUE(store.save_frame("chain", /*full=*/true, payload).ok);
+  const auto restored = store.load_chain("chain");
+  ASSERT_TRUE(restored.found);
+  EXPECT_EQ(restored.frames_rejected, 0u);
+  EXPECT_TRUE(restored.deltas.empty());
+  EXPECT_EQ(restored.base, payload);
 }
 
 TEST(CheckpointStore, MissingCheckpointReportsNoneWithoutThrowing) {
   CheckpointStore store(fresh_dir("missing"));
-  const auto restored = store.load("daemon");
-  EXPECT_EQ(restored.source, CheckpointStore::Source::kNone);
-  EXPECT_TRUE(restored.payload.empty());
+  const auto restored = store.load_chain("chain");
+  EXPECT_FALSE(restored.found);
+  EXPECT_TRUE(restored.base.empty());
+  EXPECT_EQ(restored.frames_rejected, 0u);
+  EXPECT_TRUE(restored.error.empty());
 }
 
 TEST(CheckpointStore, SecondSaveRotatesThePreviousGeneration) {
   CheckpointStore store(fresh_dir("rotate"));
-  ASSERT_TRUE(store.save("daemon", payload_of("epoch 1")));
-  ASSERT_TRUE(store.save("daemon", payload_of("epoch 2")));
-  EXPECT_TRUE(std::filesystem::exists(store.current_path("daemon")));
-  EXPECT_TRUE(std::filesystem::exists(store.previous_path("daemon")));
-  EXPECT_EQ(store.load("daemon").payload, payload_of("epoch 2"));
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("epoch 1")).ok);
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("epoch 2")).ok);
+  // The newer full frame is the live base; the older one stays on disk as
+  // the fallback generation.
+  EXPECT_TRUE(std::filesystem::exists(store.chain_path("chain", 1, true)));
+  EXPECT_TRUE(std::filesystem::exists(store.chain_path("chain", 2, true)));
+  const auto restored = store.load_chain("chain");
+  ASSERT_TRUE(restored.found);
+  EXPECT_EQ(restored.base_gen, 2u);
+  EXPECT_EQ(restored.base, payload_of("epoch 2"));
 }
 
 TEST(CheckpointStore, TornWriteIsDetectedByCrcAndFallsBackToPrevious) {
   CheckpointStore store(fresh_dir("torn"));
-  ASSERT_TRUE(store.save("daemon", payload_of("good epoch")));
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("good epoch")).ok);
 
-  // The second save is torn: only 10 bytes of the frame reach disk, but
-  // the rename dance completes and the save reports success — exactly the
-  // "rename journaled before data blocks" crash.  (Hit counters live in
-  // the schedule, so the pre-install save above did not advance them.)
+  // The second full frame is torn: only 10 bytes reach disk, but the
+  // rename completes and the save reports success — exactly the "rename
+  // journaled before data blocks" crash.  (Hit counters live in the
+  // schedule, so the pre-install save above did not advance them.)
   fault::Schedule plan;
   plan.torn_checkpoint_write(/*at_hit=*/1, /*keep_bytes=*/10);
   {
     fault::ScopedFaultInjection scoped(plan);
-    ASSERT_TRUE(store.save("daemon", payload_of("torn epoch")));
+    ASSERT_TRUE(store.save_frame("chain", true, payload_of("torn epoch")).ok);
   }
   EXPECT_EQ(plan.fired(fault::Site::kCheckpointWrite), 1u);
 
-  const auto restored = store.load("daemon");
-  EXPECT_TRUE(restored.current_rejected);
+  const auto restored = store.load_chain("chain");
+  EXPECT_EQ(restored.frames_rejected, 1u);
   EXPECT_NE(restored.error.find("frame"), std::string::npos) << restored.error;
-  EXPECT_EQ(restored.source, CheckpointStore::Source::kPrevious);
-  EXPECT_EQ(restored.payload, payload_of("good epoch"));
+  ASSERT_TRUE(restored.found);
+  EXPECT_EQ(restored.base_gen, 1u);
+  EXPECT_EQ(restored.base, payload_of("good epoch"));
 }
 
 TEST(CheckpointStore, InjectedBitRotIsCaughtByCrcOnRead) {
   CheckpointStore store(fresh_dir("bitrot"));
-  ASSERT_TRUE(store.save("daemon", payload_of("epoch 1")));
-  ASSERT_TRUE(store.save("daemon", payload_of("epoch 2")));
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("epoch 1")).ok);
+  ASSERT_TRUE(store.save_frame("chain", false, payload_of("epoch 2")).ok);
 
-  // The first read (the current generation) rots in memory after the disk
-  // read; the CRC rejects it and the clean previous generation loads.
+  // The delta (seq 2) rots in memory after the disk read; the CRC rejects
+  // it and the chain ends at the clean base.
   fault::Schedule plan;
-  plan.corrupt_checkpoint_read(/*at_hit=*/1);
+  plan.corrupt_chain_frame(/*at_hit=*/1, /*lane=*/2);
   fault::ScopedFaultInjection scoped(plan);
-  const auto restored = store.load("daemon");
-  EXPECT_TRUE(restored.current_rejected);
-  EXPECT_EQ(restored.source, CheckpointStore::Source::kPrevious);
-  EXPECT_EQ(restored.payload, payload_of("epoch 1"));
+  const auto restored = store.load_chain("chain");
+  EXPECT_EQ(plan.fired(fault::Site::kChainLoad), 1u);
+  EXPECT_EQ(restored.frames_rejected, 1u);
+  ASSERT_TRUE(restored.found);
+  EXPECT_EQ(restored.base, payload_of("epoch 1"));
+  EXPECT_TRUE(restored.deltas.empty());
+  EXPECT_EQ(restored.last_seq, 1u);
 }
 
 TEST(CheckpointStore, TelemetryCountsSavesAndRejections) {
   telemetry::Registry registry;
   CheckpointStore store(fresh_dir("telemetry"));
   store.attach_telemetry(registry, "ckpt");
-  ASSERT_TRUE(store.save("daemon", payload_of("epoch 1")));
-  ASSERT_TRUE(store.save("daemon", payload_of("epoch 2")));
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("epoch 1")).ok);
+  ASSERT_TRUE(store.save_frame("chain", false, payload_of("epoch 2")).ok);
   {
     fault::Schedule plan;
-    plan.corrupt_checkpoint_read(1);
+    plan.corrupt_chain_frame(1, /*lane=*/2);
     fault::ScopedFaultInjection scoped(plan);
-    (void)store.load("daemon");
+    (void)store.load_chain("chain");
   }
   std::uint64_t saves = 0, rejected = 0, restores = 0;
   registry.for_each_counter([&](const std::string& name, const std::string&,
                                 const telemetry::Counter& c) {
-    if (name == "ckpt_saves_total") saves = c.value();
-    if (name == "ckpt_corrupt_rejected_total") rejected = c.value();
+    if (name == "ckpt_chain_frames_total") saves = c.value();
+    if (name == "ckpt_chain_rejected_total") rejected = c.value();
     if (name == "ckpt_restores_total") restores = c.value();
   });
   EXPECT_EQ(saves, 2u);
@@ -256,7 +272,7 @@ TEST(DaemonCheckpoint, CrashAtEpochBoundaryRestoresIdenticalReports) {
   for (; i < stream.size(); ++i) daemon.on_packet(stream[i].key, stream[i].ts_ns);
 
   CheckpointStore store(fresh_dir("daemon_crash"));
-  ASSERT_TRUE(store.save("daemon", daemon.checkpoint_bytes()));
+  ASSERT_TRUE(store.save_frame("chain", /*full=*/true, daemon.checkpoint_bytes()).ok);
 
   {
     fault::Schedule plan;
@@ -269,9 +285,10 @@ TEST(DaemonCheckpoint, CrashAtEpochBoundaryRestoresIdenticalReports) {
   // checkpoint and closes the epoch the crashed one could not — producing
   // exactly the report the original would have.
   MeasurementDaemon restarted(um_cfg, cfg, {}, /*seed=*/99);
-  const auto restored = store.load("daemon");
-  ASSERT_EQ(restored.source, CheckpointStore::Source::kCurrent);
-  restarted.restore_checkpoint(restored.payload);
+  const auto restored = store.load_chain("chain");
+  ASSERT_TRUE(restored.found);
+  ASSERT_TRUE(restored.deltas.empty());
+  restarted.restore_checkpoint(restored.base);
   EXPECT_EQ(restarted.epoch(), 1u);
 
   const auto want = daemon.end_epoch();  // fault uninstalled: original closes

@@ -349,17 +349,17 @@ TEST(DaemonDelta, CorruptDeltaPayloadNeverHalfApplies) {
 
 TEST(ChainStore, SaveLoadRoundTripInOrder) {
   CheckpointStore store(fresh_dir("roundtrip"));
-  const auto s1 = store.save_frame("daemon", /*full=*/true, payload_of("base"));
+  const auto s1 = store.save_frame("chain", /*full=*/true, payload_of("base"));
   ASSERT_TRUE(s1.ok);
   EXPECT_EQ(s1.seq, 1u);
   EXPECT_EQ(s1.base_gen, 1u);
-  const auto s2 = store.save_frame("daemon", /*full=*/false, payload_of("d1"));
-  const auto s3 = store.save_frame("daemon", /*full=*/false, payload_of("d2"));
+  const auto s2 = store.save_frame("chain", /*full=*/false, payload_of("d1"));
+  const auto s3 = store.save_frame("chain", /*full=*/false, payload_of("d2"));
   ASSERT_TRUE(s2.ok);
   ASSERT_TRUE(s3.ok);
   EXPECT_EQ(s3.base_gen, 1u);
 
-  const auto chain = store.load_chain("daemon");
+  const auto chain = store.load_chain("chain");
   ASSERT_TRUE(chain.found);
   EXPECT_EQ(chain.base, payload_of("base"));
   ASSERT_EQ(chain.deltas.size(), 2u);
@@ -372,26 +372,26 @@ TEST(ChainStore, SaveLoadRoundTripInOrder) {
 
 TEST(ChainStore, DeltaWithNoBaseIsRefused) {
   CheckpointStore store(fresh_dir("nobase"));
-  const auto s = store.save_frame("daemon", /*full=*/false, payload_of("d"));
+  const auto s = store.save_frame("chain", /*full=*/false, payload_of("d"));
   EXPECT_FALSE(s.ok);
-  EXPECT_FALSE(store.load_chain("daemon").found);
+  EXPECT_FALSE(store.load_chain("chain").found);
 }
 
 TEST(ChainStore, TornTailTruncatesTheChainButKeepsThePrefix) {
   CheckpointStore store(fresh_dir("torntail"));
-  ASSERT_TRUE(store.save_frame("daemon", true, payload_of("base")).ok);
-  ASSERT_TRUE(store.save_frame("daemon", false, payload_of("d1")).ok);
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("base")).ok);
+  ASSERT_TRUE(store.save_frame("chain", false, payload_of("d1")).ok);
   fault::Schedule plan;
   plan.torn_checkpoint_write(/*at_hit=*/1, /*keep_bytes=*/15);
   {
     fault::ScopedFaultInjection scoped(plan);
     // The torn save still reports success — exactly the crash-mid-
     // checkpoint shape where the rename was journaled first.
-    ASSERT_TRUE(store.save_frame("daemon", false, payload_of("d2-torn")).ok);
+    ASSERT_TRUE(store.save_frame("chain", false, payload_of("d2-torn")).ok);
   }
   EXPECT_EQ(plan.fired(fault::Site::kCheckpointWrite), 1u);
 
-  const auto chain = store.load_chain("daemon");
+  const auto chain = store.load_chain("chain");
   ASSERT_TRUE(chain.found);
   EXPECT_EQ(chain.base, payload_of("base"));
   ASSERT_EQ(chain.deltas.size(), 1u);
@@ -403,16 +403,16 @@ TEST(ChainStore, TornTailTruncatesTheChainButKeepsThePrefix) {
 
 TEST(ChainStore, CorruptFullFallsBackToTheOlderGeneration) {
   CheckpointStore store(fresh_dir("fallback"));
-  ASSERT_TRUE(store.save_frame("daemon", true, payload_of("old base")).ok);
-  ASSERT_TRUE(store.save_frame("daemon", false, payload_of("old d")).ok);
-  ASSERT_TRUE(store.save_frame("daemon", true, payload_of("new base")).ok);
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("old base")).ok);
+  ASSERT_TRUE(store.save_frame("chain", false, payload_of("old d")).ok);
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("new base")).ok);
 
   // Rot the newest full at load time (lane = its seq) — injected on the
   // read path, so the on-disk file itself stays pristine.
   fault::Schedule plan;
   plan.corrupt_chain_frame(/*at_hit=*/1, /*lane=*/3);
   fault::ScopedFaultInjection scoped(plan);
-  const auto chain = store.load_chain("daemon");
+  const auto chain = store.load_chain("chain");
   EXPECT_GE(plan.fired(fault::Site::kChainLoad), 1u);
   ASSERT_TRUE(chain.found);
   EXPECT_EQ(chain.base, payload_of("old base"));
@@ -424,14 +424,14 @@ TEST(ChainStore, CorruptFullFallsBackToTheOlderGeneration) {
 
 TEST(ChainStore, RenamedFrameIsDetectedAsForged) {
   CheckpointStore store(fresh_dir("forged"));
-  ASSERT_TRUE(store.save_frame("daemon", true, payload_of("base")).ok);
-  ASSERT_TRUE(store.save_frame("daemon", false, payload_of("d1")).ok);
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("base")).ok);
+  ASSERT_TRUE(store.save_frame("chain", false, payload_of("d1")).ok);
   // Forge: substitute the seq-2 delta for a (claimed) seq-3 one by file
   // rename.  The seq inside the CRC frame disagrees with the file name, so
   // restore must reject it instead of replaying it out of order.
-  std::filesystem::copy_file(store.chain_path("daemon", 2, false),
-                             store.chain_path("daemon", 3, false));
-  const auto chain = store.load_chain("daemon");
+  std::filesystem::copy_file(store.chain_path("chain", 2, false),
+                             store.chain_path("chain", 3, false));
+  const auto chain = store.load_chain("chain");
   ASSERT_TRUE(chain.found);
   ASSERT_EQ(chain.deltas.size(), 1u);  // seq 2 applied, forged seq 3 rejected
   EXPECT_EQ(chain.last_seq, 2u);
@@ -441,12 +441,12 @@ TEST(ChainStore, RenamedFrameIsDetectedAsForged) {
 
 TEST(ChainStore, SequenceGapTruncatesTheChain) {
   CheckpointStore store(fresh_dir("gap"));
-  ASSERT_TRUE(store.save_frame("daemon", true, payload_of("base")).ok);
-  ASSERT_TRUE(store.save_frame("daemon", false, payload_of("d1")).ok);
-  ASSERT_TRUE(store.save_frame("daemon", false, payload_of("d2")).ok);
-  ASSERT_TRUE(store.save_frame("daemon", false, payload_of("d3")).ok);
-  std::filesystem::remove(store.chain_path("daemon", 3, false));
-  const auto chain = store.load_chain("daemon");
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("base")).ok);
+  ASSERT_TRUE(store.save_frame("chain", false, payload_of("d1")).ok);
+  ASSERT_TRUE(store.save_frame("chain", false, payload_of("d2")).ok);
+  ASSERT_TRUE(store.save_frame("chain", false, payload_of("d3")).ok);
+  std::filesystem::remove(store.chain_path("chain", 3, false));
+  const auto chain = store.load_chain("chain");
   ASSERT_TRUE(chain.found);
   ASSERT_EQ(chain.deltas.size(), 1u);  // d1; d3 unreachable across the gap
   EXPECT_EQ(chain.last_seq, 2u);
@@ -457,15 +457,15 @@ TEST(ChainStore, RetentionGcNeverDeletesTheLiveChain) {
   store.set_retention(4);
   // A live chain longer than the retention budget: nothing may be GC'd,
   // because every frame is reachable from the only base.
-  ASSERT_TRUE(store.save_frame("daemon", true, payload_of("base")).ok);
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("base")).ok);
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(store.save_frame("daemon", false, payload_of("d")).ok);
+    ASSERT_TRUE(store.save_frame("chain", false, payload_of("d")).ok);
   }
   auto count_frames = [&] {
     std::size_t n = 0;
     for (std::uint64_t seq = 1; seq <= 64; ++seq) {
-      n += std::filesystem::exists(store.chain_path("daemon", seq, true));
-      n += std::filesystem::exists(store.chain_path("daemon", seq, false));
+      n += std::filesystem::exists(store.chain_path("chain", seq, true));
+      n += std::filesystem::exists(store.chain_path("chain", seq, false));
     }
     return n;
   };
@@ -473,10 +473,10 @@ TEST(ChainStore, RetentionGcNeverDeletesTheLiveChain) {
 
   // A new base makes the old generation dead; GC may now reclaim it down
   // to the budget — and the new chain must remain fully restorable.
-  ASSERT_TRUE(store.save_frame("daemon", true, payload_of("base2")).ok);
-  ASSERT_TRUE(store.save_frame("daemon", false, payload_of("d2")).ok);
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("base2")).ok);
+  ASSERT_TRUE(store.save_frame("chain", false, payload_of("d2")).ok);
   EXPECT_LE(count_frames(), 4u);
-  const auto chain = store.load_chain("daemon");
+  const auto chain = store.load_chain("chain");
   ASSERT_TRUE(chain.found);
   EXPECT_EQ(chain.base, payload_of("base2"));
   ASSERT_EQ(chain.deltas.size(), 1u);
@@ -487,14 +487,14 @@ TEST(ChainStore, RestartResumesSequenceNumbersFromDisk) {
   const std::string dir = fresh_dir("restart");
   {
     CheckpointStore store(dir);
-    ASSERT_TRUE(store.save_frame("daemon", true, payload_of("base")).ok);
-    ASSERT_TRUE(store.save_frame("daemon", false, payload_of("d1")).ok);
+    ASSERT_TRUE(store.save_frame("chain", true, payload_of("base")).ok);
+    ASSERT_TRUE(store.save_frame("chain", false, payload_of("d1")).ok);
   }
   CheckpointStore reopened(dir);
-  const auto chain = reopened.load_chain("daemon");
+  const auto chain = reopened.load_chain("chain");
   ASSERT_TRUE(chain.found);
   EXPECT_EQ(chain.last_seq, 2u);
-  const auto s = reopened.save_frame("daemon", false, payload_of("d2"));
+  const auto s = reopened.save_frame("chain", false, payload_of("d2"));
   ASSERT_TRUE(s.ok);
   EXPECT_EQ(s.seq, 3u);  // continues, never recycles
   EXPECT_EQ(s.base_gen, 1u);
@@ -505,16 +505,16 @@ TEST(ChainStore, TelemetryCountsFramesRejectionsAndGc) {
   telemetry::Registry registry;
   store.attach_telemetry(registry, "nitro_checkpoint");
   store.set_retention(2);
-  ASSERT_TRUE(store.save_frame("daemon", true, payload_of("b1")).ok);
-  ASSERT_TRUE(store.save_frame("daemon", false, payload_of("d")).ok);
-  ASSERT_TRUE(store.save_frame("daemon", true, payload_of("b2")).ok);
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("b1")).ok);
+  ASSERT_TRUE(store.save_frame("chain", false, payload_of("d")).ok);
+  ASSERT_TRUE(store.save_frame("chain", true, payload_of("b2")).ok);
   EXPECT_EQ(registry.counter("nitro_checkpoint_chain_frames_total").value(), 3u);
   EXPECT_GE(registry.counter("nitro_checkpoint_chain_gc_deleted_total").value(), 1u);
 
   fault::Schedule plan;
   plan.corrupt_chain_frame(/*at_hit=*/1, /*lane=*/3);
   fault::ScopedFaultInjection scoped(plan);
-  const auto chain = store.load_chain("daemon");
+  const auto chain = store.load_chain("chain");
   // Retention-2 GC already deleted b1, so corrupting the only remaining
   // full (b2, seq 3) leaves nothing restorable — the rejection must still
   // be counted, and the failure reported rather than half-loaded.

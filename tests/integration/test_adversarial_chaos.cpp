@@ -25,13 +25,14 @@
 #include <unordered_set>
 #include <vector>
 
-#include "control/checkpoint.hpp"
 #include "control/daemon.hpp"
 #include "core/nitro_univmon.hpp"
 #include "core/seed_schedule.hpp"
 #include "export/collector.hpp"
 #include "export/exporter.hpp"
 #include "fault/fault.hpp"
+#include "ingest/synth_backend.hpp"
+#include "runtime/monitor_runtime.hpp"
 #include "shard/sharded_nitro.hpp"
 #include "sketch/anomaly.hpp"
 #include "sketch/univmon.hpp"
@@ -166,59 +167,56 @@ TEST(AdversarialChaos, CollisionFloodCorruptsTheBaseSeedButNotARotatedOne) {
   EXPECT_GE(registry.counter("nitro_anomaly_alarms_total").value(), 1u);
 }
 
-/// One defended monitor incarnation: rotation-enabled daemon +
-/// chain-checkpointing store + exporter, wired like nitro_monitor with
-/// --master-key.  The export sink forwards the epoch's seed generation.
+/// One defended monitor incarnation: nitro_monitor's runtime with
+/// --master-key/--rotate-epochs, a checkpoint chain and an exporter,
+/// replaying `flood` from the start of epoch `first_epoch` on.
 struct DefendedMonitor {
-  control::MeasurementDaemon daemon;
-  control::CheckpointStore store;
-  xport::EpochExporter exporter;
-  std::uint64_t frames_since_full = 0;
+  const trace::Trace& flood;
+  const trace::Trace input;
+  ingest::SynthReplayBackend backend;
+  telemetry::Registry registry;
+  runtime::MonitorRuntime rt;
   std::vector<control::EpochReport> reports;
 
   DefendedMonitor(int id, const std::string& dir, const xport::Endpoint& ep,
-                  const control::MeasurementDaemon::Tasks& tasks)
-      : daemon(um_config(), vanilla_config(), tasks, kSeed),
-        store(dir),
-        exporter(
+                  const control::MeasurementDaemon::Tasks& tasks,
+                  const trace::Trace& flood_trace, int first_epoch = 0)
+      : flood(flood_trace),
+        input(flood.begin() +
+                  static_cast<std::ptrdiff_t>(slice(flood, first_epoch).first),
+              flood.end()),
+        backend(input),
+        rt(
             [&] {
+              runtime::MonitorConfig cfg;
+              cfg.univmon = um_config();
+              cfg.nitro = vanilla_config();
+              cfg.tasks = tasks;
+              cfg.seed = kSeed;
+              cfg.master_key = kMasterKey;
+              cfg.rotate_epochs = kRotationEpochs;
+              cfg.checkpoint_dir = dir;
+              cfg.source_id = static_cast<std::uint64_t>(id);
               xport::ExporterConfig ecfg;
               ecfg.endpoint = ep;
-              ecfg.source_id = static_cast<std::uint64_t>(id);
               ecfg.connect_timeout_ms = 500;
               ecfg.ack_timeout_ms = 1500;
               ecfg.backoff_base_ns = 500'000;
               ecfg.backoff_max_ns = 10'000'000;
-              return ecfg;
+              cfg.exporter = ecfg;
+              return cfg;
             }(),
-            xport::univmon_coalescer(um_config(), schedule())) {
-    daemon.enable_seed_rotation(kMasterKey, kRotationEpochs);
-    daemon.enable_delta_checkpoints();
+            backend, registry) {}
+
+  /// Ingest epoch e's slice, checkpoint, close and export it.
+  void run_epoch(int e) {
+    const auto [begin, end] = slice(flood, e);
+    reports.push_back(rt.run_epoch(end - begin).report);
   }
+  /// Close the restored epoch again without new traffic.
+  void reclose() { reports.push_back(rt.run_epoch(0).report); }
 
-  void start() {
-    exporter.start();
-    daemon.set_export_sink([this](control::ExportedEpoch&& e) {
-      exporter.publish(e.span, e.packets, std::move(e.snapshot), e.close_ns,
-                       e.seed_gen);
-    });
-  }
-
-  void close_epoch() { reports.push_back(daemon.end_epoch()); }
-
-  void save_frame() {
-    const bool want_full = !daemon.delta_ready() || frames_since_full >= 4;
-    const auto saved =
-        store.save_frame("daemon", want_full,
-                         want_full ? daemon.checkpoint_bytes()
-                                   : daemon.delta_checkpoint_bytes());
-    ASSERT_TRUE(saved.ok);
-    daemon.cut_checkpoint_frame();
-    frames_since_full = want_full ? 1 : frames_since_full + 1;
-  }
-
-  void drain() { ASSERT_TRUE(exporter.flush(30'000)); }
-  void shutdown() { exporter.stop(); }
+  void drain_and_exit() { ASSERT_TRUE(rt.shutdown(30'000)); }
 };
 
 TEST(AdversarialChaos, DefendedPipelineSurvivesFloodCrashAndRotation) {
@@ -260,51 +258,35 @@ TEST(AdversarialChaos, DefendedPipelineSurvivesFloodCrashAndRotation) {
     fault::Schedule plan;
     plan.crash_daemon_epoch(/*at_hit=*/3);
     fault::ScopedFaultInjection scoped(plan);
-    DefendedMonitor mon(1, dir, ep, tasks);
-    mon.start();
-    feed_slice(mon.daemon, flood.trace, 0);
-    mon.save_frame();
-    mon.close_epoch();  // -> seq 1, gen 0
-    feed_slice(mon.daemon, flood.trace, 1);
-    mon.save_frame();
-    mon.close_epoch();  // -> seq 2, gen 0; rotates the live seed to gen 1
-    feed_slice(mon.daemon, flood.trace, 2);
-    mon.save_frame();
-    EXPECT_THROW((void)mon.daemon.end_epoch(), control::DaemonCrash);
+    DefendedMonitor mon(1, dir, ep, tasks, flood.trace);
+    mon.run_epoch(0);  // -> seq 1, gen 0
+    mon.run_epoch(1);  // -> seq 2, gen 0; rotates the live seed to gen 1
+    EXPECT_THROW(mon.run_epoch(2), control::DaemonCrash);
     EXPECT_EQ(plan.fired(fault::Site::kDaemonEpoch), 1u);
     for (const auto& r : mon.reports) {
       EXPECT_LT(r.collision_pressure, tasks.collision_alarm_threshold)
           << "epoch " << r.epoch;
       EXPECT_FALSE(r.anomaly_alarm) << "epoch " << r.epoch;
     }
-    mon.drain();
-    mon.shutdown();
+    mon.drain_and_exit();
   }
 
   // Incarnation 2: the checkpoint chain restores epoch 2 *and* its seed
   // generation — the replayed sketch must already be keyed under gen 1 or
   // every estimate after restore would be garbage.
   {
-    DefendedMonitor mon(1, dir, ep, tasks);
-    const auto chain = mon.store.load_chain("daemon");
-    ASSERT_TRUE(chain.found);
-    mon.daemon.restore_checkpoint(chain.base);
-    for (const auto& d : chain.deltas) mon.daemon.apply_delta_checkpoint(d);
-    ASSERT_EQ(mon.daemon.epoch(), 2u);
-    EXPECT_EQ(mon.daemon.seed_generation(), 1u);
-    EXPECT_EQ(mon.daemon.active_seed(), schedule().seed_for(1));
-    mon.exporter.set_next_seq(mon.daemon.epoch() + 1);
-    mon.start();
-    mon.close_epoch();  // re-close epoch 2 -> seq 3, gen 1
-    feed_slice(mon.daemon, flood.trace, 3);
-    mon.save_frame();
-    mon.close_epoch();  // -> seq 4, gen 1
+    DefendedMonitor mon(1, dir, ep, tasks, flood.trace, /*first_epoch=*/3);
+    ASSERT_EQ(mon.rt.restored().source, runtime::RestoreSource::kChain);
+    ASSERT_EQ(mon.rt.daemon().epoch(), 2u);
+    EXPECT_EQ(mon.rt.daemon().seed_generation(), 1u);
+    EXPECT_EQ(mon.rt.daemon().active_seed(), schedule().seed_for(1));
+    mon.reclose();     // re-close epoch 2 -> seq 3, gen 1
+    mon.run_epoch(3);  // -> seq 4, gen 1
     for (const auto& r : mon.reports) {
       EXPECT_LT(r.collision_pressure, tasks.collision_alarm_threshold);
       EXPECT_FALSE(r.anomaly_alarm);
     }
-    mon.drain();
-    mon.shutdown();
+    mon.drain_and_exit();
   }
   server.stop();
 

@@ -7,8 +7,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/nitro_config.hpp"
 #include "sketch/count_min.hpp"
-#include "switchsim/measurement.hpp"
+#include "switchsim/nitro_separate_thread.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/workloads.hpp"
 
@@ -93,14 +94,21 @@ TEST(TelemetryConcurrency, ExportWhileHotPathWrites) {
   writer.join();
 }
 
+core::NitroConfig vanilla_cfg() {
+  core::NitroConfig cfg;
+  cfg.mode = core::Mode::kVanilla;  // every row of every packet rides the ring
+  cfg.track_top_keys = false;
+  return cfg;
+}
+
 TEST(TelemetryConcurrency, SeparateThreadMeasurementCountersRaceFree) {
-  // drops_ used to be a plain (racy) u64 written by the producer and read
-  // by queries; it is now a relaxed-atomic telemetry Counter.  This test
-  // runs producer and consumer with telemetry attached so TSan can vet
-  // the whole path: ring push/pop, drop counting, occupancy sampling,
-  // idle-spin backoff, and the finish() drain barrier.
-  sketch::CountMinSketch cm(3, 512, 17);
-  switchsim::SeparateThreadMeasurement<sketch::CountMinSketch> meas(cm, 64);
+  // The separate-thread hook's counters are relaxed-atomic telemetry
+  // Counters written by the producer (packets, drops) and the consumer
+  // (idle spins) while queries read them.  This test runs producer and
+  // consumer with telemetry attached so TSan can vet the whole path: ring
+  // push/pop, drop counting, idle-spin backoff, and the finish() join.
+  switchsim::NitroSeparateThread<sketch::CountMinSketch> meas(
+      sketch::CountMinSketch(3, 512, 17), vanilla_cfg(), 64);
 
   telemetry::Registry registry;
   meas.attach_telemetry(registry, "ring");
@@ -112,30 +120,20 @@ TEST(TelemetryConcurrency, SeparateThreadMeasurementCountersRaceFree) {
   }
   meas.finish();
 
-  // Conservation: every packet was either applied or dropped.
-  EXPECT_EQ(meas.applied() + meas.drops(), kPackets);
+  // Conservation: every selected (key, row) item was applied or dropped.
+  EXPECT_EQ(meas.applied() + meas.drops(), 3 * kPackets);
+  EXPECT_EQ(registry.counter("ring_packets_total").value(), kPackets);
   EXPECT_EQ(registry.counter("ring_drops_total").value(), meas.drops());
-  // A 64-slot ring fed as fast as possible must have dropped something,
-  // and each drop burst is rate-limited into the event log.
-  if (meas.drops() > 0) {
-    EXPECT_GE(registry.event_log("ring_events").total_recorded(), 1u);
-  }
-
-  // Reuse across epochs: the consumer survives finish() and keeps applying.
-  for (std::uint64_t i = 0; i < 1'000; ++i) {
-    meas.on_packet(key, 64, i);
-  }
-  meas.finish();
-  EXPECT_EQ(meas.applied() + meas.drops(), kPackets + 1'000);
+  EXPECT_EQ(registry.counter("ring_idle_spins_total").value(), meas.idle_spins());
 }
 
 TEST(TelemetryConcurrency, AttachTelemetryWhileConsumerRuns) {
-  sketch::CountMinSketch cm(3, 512, 19);
-  switchsim::SeparateThreadMeasurement<sketch::CountMinSketch> meas(cm, 1 << 10);
+  switchsim::NitroSeparateThread<sketch::CountMinSketch> meas(
+      sketch::CountMinSketch(3, 512, 19), vanilla_cfg(), 1 << 10);
   const FlowKey key = trace::flow_key_for_rank(2, 7);
 
   // Produce from this thread while attaching telemetry mid-stream: the
-  // occupancy/event sinks are atomic pointers, so the running consumer may
+  // counters are registered by reference, so the running consumer may
   // observe the attach at any point without a data race.
   telemetry::Registry registry;
   for (std::uint64_t i = 0; i < 50'000; ++i) {
@@ -143,7 +141,8 @@ TEST(TelemetryConcurrency, AttachTelemetryWhileConsumerRuns) {
     meas.on_packet(key, 64, i);
   }
   meas.finish();
-  EXPECT_EQ(meas.applied() + meas.drops(), 50'000u);
+  EXPECT_EQ(meas.applied() + meas.drops(), 3u * 50'000u);
+  EXPECT_EQ(registry.counter("late_ring_packets_total").value(), 50'000u);
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
 // nitro_monitor — command-line flow-monitoring driver.
 //
-// Replays a workload (generated or loaded from a .ntr trace file) through
-// the OVS-DPDK-like switch pipeline with a NitroSketch/UnivMon measurement
-// daemon attached, splits it into epochs, and prints per-epoch reports:
-// heavy hitters, changed flows, entropy, distinct count, throughput.
+// Replays a workload (generated, loaded from a .ntr trace file, or read
+// from a capture) through a pluggable ingest backend into a
+// NitroSketch/UnivMon measurement daemon, splits it into epochs, and
+// prints per-epoch reports: heavy hitters, changed flows, entropy,
+// distinct count, throughput.  The epoch loop itself — sharding,
+// checkpoints, restore, export — is runtime::MonitorRuntime; this file
+// parses arguments and prints.
 //
-// With --stats-out the full telemetry registry (per-stage cycle shares,
-// the sampling-probability timeline, ring/buffer counters, sampled update
-// cycle histogram) is snapshotted to a file in Prometheus text exposition
-// or JSON format.
+// With --stats-out the full telemetry registry (sampling-probability
+// timeline, shard/checkpoint/export counters, sampled update cycle
+// histogram) is snapshotted to a file in Prometheus text exposition or
+// JSON format.
 //
-// Usage:
 // With --workers N (N >= 2) the data plane is sharded: N NitroUnivMon
 // instances run on their own worker threads behind per-worker SPSC rings,
 // packets are dispatched by flow hash (RSS-style), and at each epoch
@@ -22,22 +24,21 @@
 //                 [--packets N] [--flows N] [--epochs N]
 //                 [--mode fixed|linerate|correct|vanilla] [--p PROB]
 //                 [--hh-threshold FRAC] [--top N] [--seed N]
-//                 [--save-trace FILE] [--separate-thread] [--workers N]
+//                 [--save-trace FILE] [--workers N]
 //                 [--burst N] [--ingest synth|shim|pcap:FILE]
 //                 [--replay-loop N] [--paced]
 //                 [--stats-out FILE] [--stats-format prom|json]
 //                 [--stats-interval N]
 //
-// --burst N sets the pipeline's rx poll batch (default 32): parsed keys
-// reach the measurement hook in bursts of N through the sketch's
-// update_burst fast path; --burst 1 forces the scalar per-packet path.
+// --burst N sets the ingest poll batch (default 32): parsed keys reach
+// the sketch in bursts of N through its update_burst fast path; --burst 1
+// forces the scalar per-packet path.
 //
-// --ingest replaces the materialize+OvsPipeline replay with a pluggable
-// zero-copy ingest backend driving a run-to-completion loop (DESIGN.md
-// §14): `pcap:FILE` mmap-replays a capture (pcap or NTR1, by magic) with
-// zero per-packet copies, `shim` runs the AF_XDP-style burst-RX ring over
-// hugepage frames, `synth` wraps the in-memory trace as a backend.  All
-// integrations (--workers, --separate-thread, inline) work unchanged.
+// --ingest picks the zero-copy ingest backend driving the
+// run-to-completion loop (DESIGN.md §14): `synth` (the default) replays
+// the generated or loaded trace in memory, `pcap:FILE` mmap-replays a
+// capture (pcap or NTR1, by magic) with zero per-packet copies, and
+// `shim` runs the AF_XDP-style burst-RX ring over hugepage frames.
 // --replay-loop walks the source N times; --paced replays a capture at
 // its own timestamp spacing.
 //
@@ -52,29 +53,30 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <span>
+#include <optional>
 #include <string>
 
-#include "common/hash.hpp"
-#include "common/timing.hpp"
-#include "control/checkpoint.hpp"
-#include "control/daemon.hpp"
-#include "export/exporter.hpp"
-#include "export/recovery.hpp"
+#include "export/transport.hpp"
 #include "ingest/factory.hpp"
-#include "ingest/ingest_loop.hpp"
-#include "shard/shard_group.hpp"
-#include "switchsim/measurement.hpp"
-#include "switchsim/ovs_pipeline.hpp"
+#include "runtime/monitor_runtime.hpp"
 #include "switchsim/packet.hpp"
-#include "switchsim/profile.hpp"
-#include "telemetry/accuracy.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/workloads.hpp"
 
 namespace {
+
+/// nitro_monitor's sketch shape and defaults for the epoch loop.
+nitro::runtime::MonitorConfig monitor_defaults() {
+  nitro::runtime::MonitorConfig cfg;
+  cfg.univmon.levels = 16;
+  cfg.univmon.depth = 5;
+  cfg.univmon.top_width = 10000;
+  cfg.univmon.heap_capacity = 1000;
+  cfg.nitro.probability = 0.01;
+  return cfg;
+}
 
 struct Options {
   std::string workload = "caida";
@@ -83,39 +85,32 @@ struct Options {
   std::uint64_t packets = 2'000'000;
   std::uint64_t flows = 100'000;
   int epochs = 2;
-  std::string mode = "fixed";
-  double p = 0.01;
-  double hh_threshold = 0.0005;
   int top = 10;
-  std::uint64_t seed = 1;
-  bool separate_thread = false;
-  int workers = 1;
-  int burst = static_cast<int>(nitro::switchsim::kBurstSize);
-  std::string ingest;       // synth | shim | pcap:FILE (empty = pipeline replay)
+  std::string ingest = "synth";  // synth | shim | pcap:FILE
   int replay_loop = 1;
   bool paced = false;
   std::string stats_out;
   std::string stats_format = "json";
   int stats_interval = 1;
-  std::string checkpoint_dir;
-  int checkpoint_full_every = 4;  // delta frames between full bases
-  bool require_restore = false;   // exit nonzero when nothing restorable
-  bool recover_from_collector = false;  // wire-v3 rejoin (needs --export-to)
+  bool require_restore = false;  // exit nonzero when nothing restorable
   std::string export_to;  // tcp:HOST:PORT or unix:PATH (empty = no export)
-  std::uint64_t source_id = 1;
-  std::string trace_out;     // Chrome/Perfetto trace JSON (empty = no tracing)
-  int accuracy_sample = 0;   // reservoir size; 0 = observer off
-  // Adversarial hardening (DESIGN.md §16).  Rotation is on when
-  // rotate_epochs > 0; the master key keys every generation's seed
-  // derivation (generation 0 included), so it must match the collector's.
-  std::uint64_t master_key = 0;
-  std::uint64_t rotate_epochs = 0;
-  std::int64_t heap_margin = 0;   // TopKHeap churn-guard hysteresis
-  bool valve = false;             // flow-arrival admission valve (sharded plane)
-  double valve_threshold = 0.5;   // new-flow fraction that trips it
-  double collision_alarm = 0.0;   // collision-pressure alarm level (0 = off)
-  std::uint64_t eviction_alarm = 0;  // heap-churn alarm level (0 = off)
+  std::string trace_out;  // Chrome/Perfetto trace JSON (empty = no tracing)
+  /// What the epoch loop runs with; the remaining flags write straight
+  /// into it.  Adversarial hardening (DESIGN.md §16): rotation is on when
+  /// --rotate-epochs > 0, and the master key keys every generation's seed
+  /// derivation (generation 0 included), so both must match the collector's.
+  nitro::runtime::MonitorConfig run = monitor_defaults();
 };
+
+nitro::core::Mode mode_of(const std::string& name) {
+  using nitro::core::Mode;
+  if (name == "fixed") return Mode::kFixedRate;
+  if (name == "linerate") return Mode::kAlwaysLineRate;
+  if (name == "correct") return Mode::kAlwaysCorrect;
+  if (name == "vanilla") return Mode::kVanilla;
+  std::fprintf(stderr, "unknown mode '%s', using fixed\n", name.c_str());
+  return Mode::kFixedRate;
+}
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
@@ -123,7 +118,7 @@ void usage(const char* argv0) {
                "          [--packets N] [--flows N] [--epochs N]\n"
                "          [--mode fixed|linerate|correct|vanilla] [--p PROB]\n"
                "          [--hh-threshold FRAC] [--top N] [--seed N]\n"
-               "          [--save-trace FILE] [--separate-thread] [--workers N]\n"
+               "          [--save-trace FILE] [--workers N]\n"
                "          [--burst N] [--ingest synth|shim|pcap:FILE]\n"
                "          [--replay-loop N] [--paced]\n"
                "          [--stats-out FILE] [--stats-format prom|json]\n"
@@ -169,35 +164,35 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.epochs = std::atoi(v);
     } else if (arg == "--mode") {
       if (!(v = next())) return false;
-      opt.mode = v;
+      opt.run.nitro.mode = mode_of(v);
     } else if (arg == "--p") {
       if (!(v = next())) return false;
-      opt.p = std::atof(v);
+      opt.run.nitro.probability = std::atof(v);
     } else if (arg == "--hh-threshold") {
       if (!(v = next())) return false;
-      opt.hh_threshold = std::atof(v);
+      opt.run.tasks.hh_fraction = opt.run.tasks.change_fraction = std::atof(v);
     } else if (arg == "--top") {
       if (!(v = next())) return false;
       opt.top = std::atoi(v);
     } else if (arg == "--seed") {
       if (!(v = next())) return false;
-      opt.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--separate-thread") {
-      opt.separate_thread = true;
+      opt.run.seed = std::strtoull(v, nullptr, 10);
     } else if (arg == "--workers") {
       if (!(v = next())) return false;
-      opt.workers = std::atoi(v);
-      if (opt.workers < 1) {
+      const int workers = std::atoi(v);
+      if (workers < 1) {
         std::fprintf(stderr, "--workers must be >= 1\n");
         return false;
       }
+      opt.run.workers = static_cast<std::uint32_t>(workers);
     } else if (arg == "--burst") {
       if (!(v = next())) return false;
-      opt.burst = std::atoi(v);
-      if (opt.burst < 1) {
+      const int burst = std::atoi(v);
+      if (burst < 1) {
         std::fprintf(stderr, "--burst must be >= 1\n");
         return false;
       }
+      opt.run.burst = static_cast<std::size_t>(burst);
     } else if (arg == "--ingest") {
       if (!(v = next())) return false;
       opt.ingest = v;
@@ -226,63 +221,69 @@ bool parse_args(int argc, char** argv, Options& opt) {
       if (opt.stats_interval < 1) opt.stats_interval = 1;
     } else if (arg == "--checkpoint-dir") {
       if (!(v = next())) return false;
-      opt.checkpoint_dir = v;
+      opt.run.checkpoint_dir = v;
     } else if (arg == "--checkpoint-full-every") {
       if (!(v = next())) return false;
-      opt.checkpoint_full_every = std::atoi(v);
-      if (opt.checkpoint_full_every < 1) {
+      const int full_every = std::atoi(v);
+      if (full_every < 1) {
         std::fprintf(stderr, "--checkpoint-full-every must be >= 1\n");
         return false;
       }
+      opt.run.checkpoint_full_every = static_cast<std::uint64_t>(full_every);
     } else if (arg == "--require-restore") {
       opt.require_restore = true;
     } else if (arg == "--recover-from-collector") {
-      opt.recover_from_collector = true;
+      opt.run.recover_from_collector = true;
     } else if (arg == "--export-to") {
       if (!(v = next())) return false;
       opt.export_to = v;
     } else if (arg == "--source-id") {
       if (!(v = next())) return false;
-      opt.source_id = std::strtoull(v, nullptr, 10);
-      if (opt.source_id == 0) {
+      opt.run.source_id = std::strtoull(v, nullptr, 10);
+      if (opt.run.source_id == 0) {
         std::fprintf(stderr, "--source-id must be >= 1\n");
         return false;
       }
     } else if (arg == "--trace-out") {
       if (!(v = next())) return false;
       opt.trace_out = v;
+      opt.run.trace = true;
     } else if (arg == "--accuracy-sample") {
       if (!(v = next())) return false;
-      opt.accuracy_sample = std::atoi(v);
-      if (opt.accuracy_sample < 0) opt.accuracy_sample = 0;
+      const int sample = std::atoi(v);
+      opt.run.accuracy_sample = sample < 0 ? 0 : static_cast<std::size_t>(sample);
     } else if (arg == "--master-key") {
       if (!(v = next())) return false;
-      opt.master_key = std::strtoull(v, nullptr, 16);
+      opt.run.master_key = std::strtoull(v, nullptr, 16);
     } else if (arg == "--rotate-epochs") {
       if (!(v = next())) return false;
-      opt.rotate_epochs = std::strtoull(v, nullptr, 10);
+      opt.run.rotate_epochs = std::strtoull(v, nullptr, 10);
     } else if (arg == "--heap-margin") {
       if (!(v = next())) return false;
-      opt.heap_margin = std::strtoll(v, nullptr, 10);
-      if (opt.heap_margin < 0) {
+      opt.run.univmon.heap_margin = std::strtoll(v, nullptr, 10);
+      if (opt.run.univmon.heap_margin < 0) {
         std::fprintf(stderr, "--heap-margin must be >= 0\n");
         return false;
       }
     } else if (arg == "--valve") {
-      opt.valve = true;
+      // Churn admission valve (DESIGN.md §16): when a window's unique-flow
+      // fraction crosses the threshold, the shard escalates the same
+      // degrade ladder ring overflow uses instead of melting down.
+      opt.run.shard.valve.enabled = true;
     } else if (arg == "--valve-threshold") {
       if (!(v = next())) return false;
-      opt.valve_threshold = std::atof(v);
-      if (opt.valve_threshold <= 0.0 || opt.valve_threshold > 1.0) {
+      const double threshold = std::atof(v);
+      if (threshold <= 0.0 || threshold > 1.0) {
         std::fprintf(stderr, "--valve-threshold must be in (0, 1]\n");
         return false;
       }
+      opt.run.shard.valve.new_flow_threshold = threshold;
     } else if (arg == "--collision-alarm") {
       if (!(v = next())) return false;
-      opt.collision_alarm = std::atof(v);
+      opt.run.tasks.collision_alarm_threshold = std::atof(v);
     } else if (arg == "--eviction-alarm") {
       if (!(v = next())) return false;
-      opt.eviction_alarm = std::strtoull(v, nullptr, 10);
+      opt.run.tasks.eviction_alarm_threshold = std::strtoull(v, nullptr, 10);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return false;
@@ -295,62 +296,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
   return true;
 }
 
-nitro::core::Mode mode_of(const std::string& name) {
-  using nitro::core::Mode;
-  if (name == "fixed") return Mode::kFixedRate;
-  if (name == "linerate") return Mode::kAlwaysLineRate;
-  if (name == "correct") return Mode::kAlwaysCorrect;
-  if (name == "vanilla") return Mode::kVanilla;
-  std::fprintf(stderr, "unknown mode '%s', using fixed\n", name.c_str());
-  return Mode::kFixedRate;
-}
-
-/// Sketch-shaped adapter so the standard Measurement hooks (inline or
-/// separate-thread) can drive the daemon's data plane.
-struct DaemonSketchAdapter {
-  nitro::control::MeasurementDaemon* daemon = nullptr;
-  void update(const nitro::FlowKey& key, std::int64_t /*count*/,
-              std::uint64_t ts_ns) {
-    daemon->on_packet(key, ts_ns);
-  }
-  // Burst entry point: InlineMeasurement detects it and routes whole rx
-  // bursts into NitroUnivMon::update_burst.
-  void update_burst(std::span<const nitro::FlowKey> keys, std::uint64_t ts_ns) {
-    daemon->on_burst(keys, ts_ns);
-  }
-};
-
-/// --workers N data plane: the pipeline thread dispatches into the shard
-/// group's rings; finish() is the per-epoch drain barrier.
-class ShardedDaemonMeasurement final : public nitro::switchsim::Measurement {
- public:
-  /// `accuracy` (may be null) is fed from the dispatch thread — the only
-  /// place in the sharded integration that still sees every packet — so
-  /// the exact reservoir matches the post-merge global sketch.
-  ShardedDaemonMeasurement(nitro::shard::ShardGroup<nitro::core::NitroUnivMon>& group,
-                           nitro::telemetry::AccuracyObserver* accuracy)
-      : group_(group), accuracy_(accuracy) {}
-
-  void on_packet(const nitro::FlowKey& key, std::uint16_t, std::uint64_t ts_ns) override {
-    group_.update(key, 1, ts_ns);
-    if (accuracy_ != nullptr) accuracy_->observe(key);
-  }
-
-  void on_burst(const nitro::FlowKey* keys, const std::uint16_t*, std::size_t n,
-                std::uint64_t ts_ns) override {
-    group_.update_burst(std::span<const nitro::FlowKey>(keys, n), 1, ts_ns);
-    if (accuracy_ != nullptr) {
-      accuracy_->observe_burst(std::span<const nitro::FlowKey>(keys, n));
-    }
-  }
-
-  void finish() override { group_.drain(); }
-
- private:
-  nitro::shard::ShardGroup<nitro::core::NitroUnivMon>& group_;
-  nitro::telemetry::AccuracyObserver* accuracy_;
-};
-
 void write_stats(const Options& opt, nitro::telemetry::Registry& registry) {
   const std::string text = opt.stats_format == "prom"
                                ? nitro::telemetry::to_prometheus(registry)
@@ -362,29 +307,37 @@ void write_stats(const Options& opt, nitro::telemetry::Registry& registry) {
 
 }  // namespace
 
+
 int main(int argc, char** argv) {
   using namespace nitro;
 
   Options opt;
   if (!parse_args(argc, argv, opt)) return 2;
-  if (opt.rotate_epochs > 0 && opt.workers > 1) {
-    // Shard instances hold one fixed UnivMon seed for the run; merging
-    // them into a daemon whose seed rotates per generation would cross
-    // hash functions.  Per-shard rotation is future work.
-    std::fprintf(stderr,
-                 "--rotate-epochs is not yet supported with --workers > 1\n");
-    return 2;
+
+  std::optional<xport::Endpoint> export_ep;
+  if (!opt.export_to.empty()) {
+    export_ep = xport::parse_endpoint(opt.export_to);
+    if (!export_ep) {
+      std::fprintf(stderr,
+                   "bad --export-to spec '%s' (want tcp:HOST:PORT or unix:PATH)\n",
+                   opt.export_to.c_str());
+      return 2;
+    }
   }
 
+  // A capture replays itself; only the synth and shim backends replay the
+  // generated or loaded trace.
+  const bool capture =
+      opt.ingest.rfind("pcap:", 0) == 0 || opt.ingest.rfind("file:", 0) == 0;
   trace::Trace stream;
   if (!opt.trace_file.empty()) {
     std::printf("loading trace %s...\n", opt.trace_file.c_str());
     stream = trace::load_trace(opt.trace_file);
-  } else {
+  } else if (!capture) {
     trace::WorkloadSpec spec;
     spec.packets = opt.packets;
     spec.flows = opt.flows;
-    spec.seed = opt.seed;
+    spec.seed = opt.run.seed;
     std::printf("generating %s workload: %llu packets, %llu flows...\n",
                 opt.workload.c_str(), static_cast<unsigned long long>(spec.packets),
                 static_cast<unsigned long long>(spec.flows));
@@ -394,427 +347,98 @@ int main(int argc, char** argv) {
     trace::save_trace(opt.save_trace, stream);
     std::printf("saved trace to %s\n", opt.save_trace.c_str());
   }
-  if (stream.empty() || opt.epochs < 1) {
+
+  // The backend is built before the runtime so its preferred prefetch
+  // distance can be baked into the sketch config.  (The shim's producer
+  // thread starts here; it parks on its bounded rings until the epoch
+  // loop begins draining.)
+  std::unique_ptr<ingest::IngestBackend> backend;
+  ingest::BackendOptions bopts;
+  bopts.replay_loop = static_cast<std::uint32_t>(opt.replay_loop);
+  bopts.paced = opt.paced;
+  try {
+    backend = ingest::make_backend(opt.ingest, stream, bopts);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ingest: %s\n", e.what());
+    return 2;
+  }
+  const std::uint64_t total = backend->size_hint();
+  if (total == 0 || opt.epochs < 1) {
     std::fprintf(stderr, "nothing to do\n");
     return 2;
   }
+  std::printf("ingest backend: %s (%llu packets expected)\n", backend->name(),
+              static_cast<unsigned long long>(total));
 
-  // --ingest: build the backend up front so its preferred prefetch
-  // distance can be baked into the sketch config the daemon is built
-  // with.  (The shim's producer thread starts here; it parks on its
-  // bounded rings until the epoch loop begins draining.)
-  std::unique_ptr<ingest::IngestBackend> backend;
-  if (!opt.ingest.empty()) {
-    ingest::BackendOptions bopts;
-    bopts.replay_loop = static_cast<std::uint32_t>(opt.replay_loop);
-    bopts.paced = opt.paced;
-    try {
-      backend = ingest::make_backend(opt.ingest, stream, bopts);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "ingest: %s\n", e.what());
-      return 2;
-    }
-    std::printf("ingest backend: %s (%llu packets expected)\n", backend->name(),
-                static_cast<unsigned long long>(backend->size_hint()));
-  }
-
-  sketch::UnivMonConfig um_cfg;
-  um_cfg.levels = 16;
-  um_cfg.depth = 5;
-  um_cfg.top_width = 10000;
-  um_cfg.heap_capacity = 1000;
-  um_cfg.heap_margin = opt.heap_margin;
-
-  core::NitroConfig nitro_cfg;
-  nitro_cfg.mode = mode_of(opt.mode);
-  nitro_cfg.probability = opt.p;
-  if (backend) nitro_cfg.prefetch_window = backend->preferred_prefetch_window();
-
-  control::MeasurementDaemon::Tasks tasks;
-  tasks.hh_fraction = opt.hh_threshold;
-  tasks.change_fraction = opt.hh_threshold;
-  tasks.collision_alarm_threshold = opt.collision_alarm;
-  tasks.eviction_alarm_threshold = opt.eviction_alarm;
-
-  control::MeasurementDaemon daemon(um_cfg, nitro_cfg, tasks, opt.seed);
-  if (opt.rotate_epochs > 0) {
-    // Keyed epoch-boundary seed rotation (DESIGN.md §16): must be enabled
-    // on the fresh daemon, before any restore — checkpoint v2 frames are
-    // generation-tagged and validated against this schedule.
-    daemon.enable_seed_rotation(opt.master_key, opt.rotate_epochs);
-    std::printf("seed rotation: every %llu epoch(s), keyed derivation\n",
-                static_cast<unsigned long long>(opt.rotate_epochs));
+  if (export_ep) {
+    xport::ExporterConfig ecfg;
+    ecfg.endpoint = *export_ep;
+    opt.run.exporter = ecfg;
   }
 
   telemetry::Registry registry;
-  daemon.attach_telemetry(registry);
-
-  // Span tracing (--trace-out): install a process-wide tracer; every
-  // lifecycle site (ingest, burst flush, shard drain/merge, snapshot,
-  // checkpoint, export enqueue, wire send) records into it, and the
-  // retained spans are written as Chrome/Perfetto-loadable JSON at exit.
-  std::unique_ptr<telemetry::Tracer> tracer;
-  if (!opt.trace_out.empty()) {
-    tracer = std::make_unique<telemetry::Tracer>();
-    tracer->attach_telemetry(registry, "nitro_trace");
-    tracer->set_context(opt.source_id, daemon.epoch());
-    telemetry::install_tracer(tracer.get());
+  std::unique_ptr<runtime::MonitorRuntime> rt;
+  try {
+    rt = std::make_unique<runtime::MonitorRuntime>(opt.run, *backend, registry);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  if (opt.run.rotate_epochs > 0) {
+    std::printf("seed rotation: every %llu epoch(s), keyed derivation\n",
+                static_cast<unsigned long long>(opt.run.rotate_epochs));
   }
 
-  // Online accuracy observer (--accuracy-sample N): exact-count a hash
-  // sample of flows and compare against the sketch each epoch.
-  std::unique_ptr<telemetry::AccuracyObserver> accuracy;
-  if (opt.accuracy_sample > 0) {
-    accuracy = std::make_unique<telemetry::AccuracyObserver>(
-        nitro_cfg.epsilon, /*sample_bits=*/6,
-        static_cast<std::size_t>(opt.accuracy_sample));
-    accuracy->attach_telemetry(registry, "nitro_univmon");
-    daemon.set_accuracy_observer(accuracy.get());
-  }
-
-  // Crash-safe operation (DESIGN.md §15): restore the daemon from the
-  // delta-checkpoint chain (newest valid full base + contiguous deltas,
-  // skipping torn/corrupt tail frames), falling back to the legacy
-  // two-generation store, falling back — when --recover-from-collector —
-  // to rebuilding from the collector's replica over the wire.  Corruption
-  // is reported loudly, never silently loaded.
-  //
-  // restore_source codes (also exported as a gauge): 0 = nothing
-  // restored, 1 = legacy current, 2 = legacy previous generation,
-  // 3 = delta chain, 4 = collector replica.
-  std::unique_ptr<control::CheckpointStore> ckpt;
-  telemetry::Counter& restore_failures = registry.counter(
-      "nitro_checkpoint_restore_failures_total",
-      "checkpoint frames or restore attempts rejected at startup");
-  telemetry::Gauge& restore_source_gauge = registry.gauge(
-      "nitro_checkpoint_restore_source",
-      "what seeded the daemon: 0 none, 1 full, 2 previous, 3 chain, 4 collector");
-  int restore_source = 0;
-  std::uint64_t recovered_last_seq = 0;  // collector's settled seq (source 4)
-  if (!opt.checkpoint_dir.empty()) {
-    try {
-      ckpt = std::make_unique<control::CheckpointStore>(opt.checkpoint_dir);
-      ckpt->attach_telemetry(registry, "nitro_checkpoint");
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "checkpoint: %s\n", e.what());
-      return 2;
-    }
-    daemon.enable_delta_checkpoints();
-
-    const auto chain = ckpt->load_chain("daemon");
-    if (chain.frames_rejected > 0) {
-      restore_failures.inc(chain.frames_rejected);
-      std::fprintf(stderr,
-                   "checkpoint: %llu torn/corrupt chain frame(s) rejected (%s)\n",
-                   static_cast<unsigned long long>(chain.frames_rejected),
-                   chain.error.c_str());
-    }
-    if (chain.found) {
-      try {
-        daemon.restore_checkpoint(chain.base);
-        restore_source = 3;
-      } catch (const std::exception& e) {
-        restore_failures.inc();
-        std::fprintf(stderr, "checkpoint: chain base restore FAILED (%s)\n",
-                     e.what());
-      }
-      if (restore_source == 3) {
-        std::size_t applied = 0;
-        for (const auto& d : chain.deltas) {
-          try {
-            daemon.apply_delta_checkpoint(d);
-            ++applied;
-          } catch (const std::exception& e) {
-            // The earlier frames already restored a consistent state;
-            // keep it and drop the rest of the chain.
-            restore_failures.inc();
-            std::fprintf(stderr,
-                         "checkpoint: delta frame rejected (%s); keeping the "
-                         "state restored so far\n",
-                         e.what());
-            break;
-          }
-        }
-        std::printf("checkpoint: restored epoch %llu from chain "
-                    "(base %llu + %zu delta(s))\n",
-                    static_cast<unsigned long long>(daemon.epoch()),
-                    static_cast<unsigned long long>(chain.base_gen), applied);
-      }
-    }
-
-    if (restore_source == 0) {
-      const auto restored = ckpt->load("daemon");
-      if (restored.current_rejected) {
-        restore_failures.inc();
-        std::fprintf(stderr, "checkpoint: CORRUPT checkpoint rejected (%s)\n",
-                     restored.error.c_str());
-      }
-      if (restored.source != control::CheckpointStore::Source::kNone) {
-        try {
-          daemon.restore_checkpoint(restored.payload);
-          restore_source =
-              restored.source == control::CheckpointStore::Source::kCurrent ? 1
-                                                                            : 2;
-          std::printf("checkpoint: restored epoch %llu from %s\n",
-                      static_cast<unsigned long long>(daemon.epoch()),
-                      restore_source == 1 ? "current" : "previous generation");
-        } catch (const std::exception& e) {
-          restore_failures.inc();
-          std::fprintf(stderr,
-                       "checkpoint: restore FAILED (%s); starting fresh\n",
-                       e.what());
-        }
-      } else if (!restored.error.empty()) {
-        std::fprintf(stderr,
-                     "checkpoint: no usable checkpoint (%s); starting fresh\n",
-                     restored.error.c_str());
-      }
-    }
-  }
-
-  // Rebuild-from-collector (wire v3): with no usable local state, ask the
-  // collector for its last-applied replica and resume exporting after its
-  // settled sequence number — the merged view never double-counts.
-  if (restore_source == 0 && opt.recover_from_collector) {
-    const auto recover_ep = xport::parse_endpoint(opt.export_to);
-    if (!recover_ep) {
-      std::fprintf(stderr,
-                   "--recover-from-collector needs a valid --export-to\n");
-      return 2;
-    }
-    const auto rec = xport::request_recovery(*recover_ep, opt.source_id,
-                                             /*timeout_ms=*/2000,
-                                             /*attempts=*/4);
-    if (!rec.ok) {
-      restore_failures.inc();
-      std::fprintf(stderr, "recover: %s\n", rec.error.c_str());
-    } else if (!rec.resp.found) {
-      std::printf("recover: collector has no state for source %llu; "
-                  "starting fresh\n",
-                  static_cast<unsigned long long>(opt.source_id));
-    } else {
-      try {
-        daemon.seed_from_recovery(rec.resp.span.last + 1, rec.resp.snapshot,
-                                  rec.resp.packets, rec.resp.seed_gen);
-        recovered_last_seq = rec.resp.last_seq;
-        restore_source = 4;
-        std::printf("recover: seeded from collector replica (epochs %llu..%llu,"
-                    " seq settled at %llu)\n",
-                    static_cast<unsigned long long>(rec.resp.span.first),
-                    static_cast<unsigned long long>(rec.resp.span.last),
-                    static_cast<unsigned long long>(rec.resp.last_seq));
-      } catch (const std::exception& e) {
-        restore_failures.inc();
-        std::fprintf(stderr, "recover: replica rejected (%s)\n", e.what());
-      }
-    }
-  }
-  restore_source_gauge.set(static_cast<double>(restore_source));
-  if (opt.require_restore && restore_source == 0) {
+  const runtime::RestoreReport& restored = rt->restored();
+  for (const auto& w : restored.warnings) std::fprintf(stderr, "%s\n", w.c_str());
+  if (restored.source == runtime::RestoreSource::kChain) {
+    std::printf("checkpoint: restored epoch %llu from chain (base %llu + %zu delta(s))\n",
+                static_cast<unsigned long long>(rt->daemon().epoch()),
+                static_cast<unsigned long long>(restored.chain_base_seq),
+                restored.deltas_applied);
+  } else if (restored.source == runtime::RestoreSource::kCollector) {
+    std::printf("recover: seeded from collector replica (epochs %llu..%llu,"
+                " seq settled at %llu)\n",
+                static_cast<unsigned long long>(restored.replica_span.first),
+                static_cast<unsigned long long>(restored.replica_span.last),
+                static_cast<unsigned long long>(restored.settled_seq));
+  } else if (opt.require_restore) {
     std::fprintf(stderr,
                  "--require-restore: no checkpoint or collector state could "
                  "be restored\n");
     return 3;
   }
-
-  // Resilient epoch export: every closed epoch's sketch snapshot streams
-  // to a collector, surviving a slow/dead/flapping peer via retry with
-  // backoff, a circuit breaker, and backlog coalescing (never blocking
-  // the epoch loop, never dropping an epoch).
-  std::unique_ptr<xport::EpochExporter> exporter;
-  if (!opt.export_to.empty()) {
-    const auto export_ep = xport::parse_endpoint(opt.export_to);
-    if (!export_ep) {
-      std::fprintf(stderr,
-                   "bad --export-to spec '%s' (want tcp:HOST:PORT or unix:PATH)\n",
-                   opt.export_to.c_str());
-      return 2;
-    }
-    xport::ExporterConfig ecfg;
-    ecfg.endpoint = *export_ep;
-    ecfg.source_id = opt.source_id;
-    // With rotation on, backlog coalescing must be generation-aware:
-    // frames from different seed generations hash differently and are
-    // never merged (the schedule-taking coalescer enforces that).
-    exporter = std::make_unique<xport::EpochExporter>(
-        ecfg, opt.rotate_epochs > 0
-                  ? xport::univmon_coalescer(um_cfg, daemon.seed_schedule())
-                  : xport::univmon_coalescer(um_cfg, opt.seed));
-    exporter->attach_telemetry(registry, "nitro_export");
-    if (restore_source == 4) {
-      // Resume after the collector's settled sequence number so the
-      // rejoin never redelivers an already-applied epoch.
-      exporter->set_next_seq(recovered_last_seq + 1);
-    } else if (restore_source != 0) {
-      // Locally restored state: epochs 0..epoch()-1 were already exported
-      // under seqs 1..epoch(), so the re-closed current epoch must go out
-      // as seq epoch()+1 — the collector settles it as a duplicate if the
-      // pre-crash process already delivered it, and applies it otherwise.
-      exporter->set_next_seq(daemon.epoch() + 1);
-    }
-    exporter->start();
-    daemon.set_export_sink([&exporter](control::ExportedEpoch&& e) {
-      exporter->publish(e.span, e.packets, std::move(e.snapshot), e.close_ns,
-                        e.seed_gen);
-    });
+  if (export_ep) {
     std::printf("exporting epochs to %s as source %llu\n",
                 export_ep->to_string().c_str(),
-                static_cast<unsigned long long>(opt.source_id));
+                static_cast<unsigned long long>(opt.run.source_id));
   }
-
-  // Route the replay through the OVS-like pipeline so the per-stage cycle
-  // profile (recv/parse/lookup/measurement/action) is real, not synthetic
-  // — unless --ingest selected a backend, in which case the
-  // run-to-completion ingest loop drives the same measurement hooks.
-  std::vector<switchsim::RawPacket> raws;
-  if (!backend) raws = switchsim::materialize(stream);
-  DaemonSketchAdapter adapter{&daemon};
-  std::unique_ptr<shard::ShardGroup<core::NitroUnivMon>> shard_group;
-  std::unique_ptr<switchsim::Measurement> measurement;
-  if (opt.workers > 1) {
-    if (opt.separate_thread) {
-      std::fprintf(stderr, "--separate-thread is subsumed by --workers; using %d shard workers\n",
-                   opt.workers);
-    }
-    std::printf("sharded data plane: %d workers, flow-hash dispatch\n", opt.workers);
-    shard::ShardOptions shard_opts;
-    if (opt.valve) {
-      // Churn admission valve (DESIGN.md §16): when a window's unique-flow
-      // fraction crosses the threshold, the shard escalates the same
-      // degrade ladder ring overflow uses instead of melting down.
-      shard_opts.valve.enabled = true;
-      shard_opts.valve.new_flow_threshold = opt.valve_threshold;
+  if (opt.run.workers > 1) {
+    std::printf("sharded data plane: %u workers, flow-hash dispatch\n",
+                opt.run.workers);
+    if (opt.run.shard.valve.enabled) {
       std::printf("admission valve: on (new-flow fraction > %.2f trips)\n",
-                  opt.valve_threshold);
+                  opt.run.shard.valve.new_flow_threshold);
     }
-    shard_group = std::make_unique<shard::ShardGroup<core::NitroUnivMon>>(
-        static_cast<std::uint32_t>(opt.workers),
-        [&](std::uint32_t i) {
-          // Same UnivMon seed everywhere (mergeable counters); decorrelated
-          // per-shard sampler seeds.
-          core::NitroConfig shard_cfg = nitro_cfg;
-          shard_cfg.seed = mix64(nitro_cfg.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
-          return core::NitroUnivMon(um_cfg, shard_cfg, opt.seed);
-        },
-        shard_opts);
-    shard_group->attach_telemetry(registry, "nitro_shard");
-    measurement = std::make_unique<ShardedDaemonMeasurement>(*shard_group,
-                                                             accuracy.get());
-    // Keep the snapshot schema stable across integrations.
-    registry.counter("nitro_ring_drops_total", "ring overruns: samples dropped");
-    registry.counter("nitro_ring_idle_spins_total",
-                     "consumer poll rounds that found the ring empty");
-  } else if (opt.separate_thread) {
-    auto st = std::make_unique<switchsim::SeparateThreadMeasurement<DaemonSketchAdapter>>(
-        adapter);
-    st->attach_telemetry(registry, "nitro_ring");
-    measurement = std::move(st);
-  } else {
-    measurement = std::make_unique<switchsim::InlineMeasurement<DaemonSketchAdapter>>(
-        adapter);
-    // Keep the snapshot schema stable: the ring counters exist (at zero)
-    // even when the AIO integration is used.
-    registry.counter("nitro_ring_drops_total", "ring overruns: samples dropped");
-    registry.counter("nitro_ring_idle_spins_total",
-                     "consumer poll rounds that found the ring empty");
-  }
-  switchsim::OvsPipeline pipe(*measurement, 8192,
-                              static_cast<std::size_t>(opt.burst));
-  pipe.set_telemetry(telemetry::PipelineTelemetry::in(registry, "nitro_pipeline"));
-  switchsim::Profile prof;
-  std::unique_ptr<ingest::IngestLoop> ingest_loop;
-  if (backend) {
-    ingest_loop = std::make_unique<ingest::IngestLoop>(
-        *backend, *measurement, static_cast<std::size_t>(opt.burst));
   }
 
-  const std::uint64_t total =
-      backend ? backend->size_hint() : static_cast<std::uint64_t>(raws.size());
   const std::uint64_t per_epoch = total / static_cast<std::uint64_t>(opt.epochs);
-  std::uint64_t cursor = 0;
-  std::uint64_t frames_since_full = 0;  // delta frames since the last full base
   for (int e = 0; e < opt.epochs; ++e) {
-    const std::uint64_t end = (e == opt.epochs - 1) ? total : cursor + per_epoch;
-    // Ambient trace keys for this epoch: deep sites (burst flush, shard
-    // drain, snapshot, checkpoint) pick them up without plumbing.
-    if (tracer) tracer->set_context(opt.source_id, daemon.epoch());
-    switchsim::RunStats stats;
-    {
-      telemetry::ScopedSpan ingest_span(telemetry::Stage::kIngest,
-                                        opt.source_id, daemon.epoch());
-      if (backend) {
-        // Run-to-completion: poll the backend, decode, update — on this
-        // thread.  The final epoch runs to backend EOF (covers size
-        // hints that undercount, e.g. pcap parse-error skips).
-        WallTimer timer;
-        const std::uint64_t budget = (e == opt.epochs - 1) ? ~0ull : end - cursor;
-        stats.packets = ingest_loop->run(budget);
-        measurement->finish();
-        stats.seconds = timer.seconds();
-        stats.bytes = ingest_loop->stats().bytes;
-      } else {
-        stats = pipe.run(std::span<const switchsim::RawPacket>(raws).subspan(
-                             cursor, end - cursor),
-                         &prof);
-      }
-    }
-    cursor = end;
-    if (shard_group) {
-      telemetry::ScopedSpan merge_span(telemetry::Stage::kShardMerge,
-                                       opt.source_id, daemon.epoch());
-      // Epoch boundary: the pipeline's finish() drained the rings, so the
-      // shards are quiescent.  Merge every live shard into the daemon's
-      // (idle) data plane, reset the shards for the next epoch, and let
-      // the daemon's task estimation run on the coherent merged view.
-      // Quarantined shards (dead/wedged workers caught by the drain
-      // watchdog) are excluded — the report covers the survivors.
-      for (std::uint32_t s = 0; s < shard_group->workers(); ++s) {
-        if (shard_group->quarantined(s)) {
-          std::fprintf(stderr,
-                       "shard %u QUARANTINED (worker %s); excluded from merge\n",
-                       s, shard_group->worker_alive(s) ? "wedged" : "dead");
-          continue;
-        }
-        daemon.data_plane_mut().merge_from(shard_group->instance(s));
-        shard_group->instance(s).clear();
-      }
-      shard_group->reset_degradation();
-      daemon.publish_telemetry();
-    }
-    if (ckpt) {
-      // Persist before closing the epoch: a crash inside end_epoch then
-      // costs at most the current epoch, never an already-reported one.
-      // Every --checkpoint-full-every frames (or whenever the dirty state
-      // cannot be expressed as a delta) a full base is written; the frames
-      // between are run-length deltas of the touched segments.
-      const bool want_full =
-          !daemon.delta_ready() ||
-          frames_since_full >=
-              static_cast<std::uint64_t>(opt.checkpoint_full_every);
-      const auto saved = ckpt->save_frame(
-          "daemon", want_full,
-          want_full ? daemon.checkpoint_bytes()
-                    : daemon.delta_checkpoint_bytes());
-      if (saved.ok) {
-        daemon.cut_checkpoint_frame();
-        frames_since_full = want_full ? 1 : frames_since_full + 1;
-      } else {
-        std::fprintf(stderr, "checkpoint: save FAILED for epoch %llu\n",
-                     static_cast<unsigned long long>(daemon.epoch()));
-      }
-    }
-    const auto report = daemon.end_epoch();
-    prof.publish(registry);
+    // The final epoch runs to backend EOF (covers size hints that
+    // undercount, e.g. pcap parse-error skips).
+    const auto result = rt->run_epoch(e == opt.epochs - 1 ? ~0ull : per_epoch);
+    for (const auto& w : result.warnings) std::fprintf(stderr, "%s\n", w.c_str());
+    const auto& report = result.report;
 
     std::printf("\n=== epoch %llu: %lld packets in %.2fs (%.2f Mpps) ===\n",
                 static_cast<unsigned long long>(report.epoch),
-                static_cast<long long>(report.packets), stats.seconds,
-                static_cast<double>(report.packets) / stats.seconds / 1e6);
+                static_cast<long long>(report.packets), result.ingest_seconds,
+                static_cast<double>(report.packets) / result.ingest_seconds / 1e6);
     std::printf("entropy %.3f bits | distinct ~%.0f flows | %zu heavy hitters |"
                 " %zu changed flows\n",
                 report.entropy, report.distinct, report.heavy_hitters.size(),
                 report.changed_flows.size());
-    if (accuracy && report.accuracy.tracked_flows > 0) {
+    if (opt.run.accuracy_sample > 0 && report.accuracy.tracked_flows > 0) {
       const auto& a = report.accuracy;
       std::printf("accuracy: %zu tracked | mean err %.1f | max err %.1f |"
                   " bound %.1f (x%.2f degrade) | %s\n",
@@ -840,15 +464,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (exporter) {
+  if (xport::EpochExporter* exporter = rt->exporter()) {
     // Give in-flight epochs a chance to reach the collector before exit;
     // an unreachable collector must not wedge the monitor.
-    if (!exporter->flush(10'000)) {
+    if (!rt->shutdown(10'000)) {
       std::fprintf(stderr,
                    "export: %zu epoch message(s) undelivered at shutdown\n",
                    exporter->queue_depth());
     }
-    exporter->stop();
     std::printf("export: %llu epoch(s) acknowledged by the collector\n",
                 static_cast<unsigned long long>(exporter->epochs_acked()));
     if (!opt.stats_out.empty()) write_stats(opt, registry);
@@ -859,7 +482,7 @@ int main(int argc, char** argv) {
                 opt.stats_format.c_str(), opt.stats_out.c_str());
   }
 
-  if (tracer) {
+  if (telemetry::Tracer* tracer = rt->tracer()) {
     telemetry::uninstall_tracer();
     const std::string json = telemetry::to_chrome_json(*tracer, "nitro_monitor");
     if (telemetry::write_file(opt.trace_out, json)) {
